@@ -318,8 +318,9 @@ func (e *Engine) sampleLocked(g *queryGroup, now time.Time) (adapt.Sample, bool)
 		}
 	}
 	for _, pb := range g.pbs {
-		// Parts() excludes the catch-all: pruned tuples sit there by
-		// design and no clone drains them, so they are not backpressure.
+		// Parts() excludes the catch-all: pruned tuples are discarded
+		// or parked there, and no clone drains them, so they are not
+		// backpressure.
 		for _, p := range pb.Parts() {
 			if p.Len() > occ {
 				occ = p.Len()

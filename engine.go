@@ -646,9 +646,18 @@ func (e *Engine) explainStatement(s sql.Statement) (string, error) {
 			}
 			fmt.Fprintf(&b, "wiring: partitioning %s across %d partitions (splitter, %d clones, %s)\n",
 				verdict.Describe(), par, par, merge)
+			col, set, prunes := verdict.Prune()
 			if verdict.Mode == plan.PartRange {
-				fmt.Fprintf(&b, "wiring: catch-all partition prunes tuples outside %s from every clone\n",
-					verdict.Set())
+				col, set, prunes = verdict.Col, verdict.Set(), true
+			}
+			switch {
+			case !prunes:
+			case verdict.Discard:
+				fmt.Fprintf(&b, "wiring: tuples with %s outside %s are discarded at routing (every member consumes and rejects them)\n",
+					col, set)
+			default:
+				fmt.Fprintf(&b, "wiring: tuples with %s outside %s are parked in the catch-all as window residue, scanned by no clone\n",
+					col, set)
 			}
 		}
 		if auto {

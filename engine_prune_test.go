@@ -3,9 +3,13 @@ package datacell
 import (
 	"fmt"
 	"math/rand"
+	"net"
 	"sort"
 	"strings"
 	"testing"
+
+	"datacell/internal/ingest"
+	"datacell/internal/vector"
 )
 
 // pruneWorkload feeds a randomized stream through a sargable-heavy query
@@ -65,23 +69,30 @@ func pruneWorkload(t *testing.T, strategy Strategy, parallelism int, seed int64)
 	}
 	got := map[string][]string{}
 	for _, q := range queries {
-		out, err := eng.Out(q.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tbl := tableOf(out.Snapshot())
-		rows := make([]string, 0, len(tbl.Rows))
-		for _, r := range tbl.Rows {
-			parts := make([]string, len(r))
-			for i, c := range r {
-				parts[i] = fmt.Sprint(c)
-			}
-			rows = append(rows, strings.Join(parts, "|"))
-		}
-		sort.Strings(rows)
-		got[q.Name] = rows
+		got[q.Name] = sortedRows(t, eng, q.Name)
 	}
 	return got
+}
+
+// sortedRows renders a query's output as a sorted row multiset, one
+// "|"-joined line per row.
+func sortedRows(t *testing.T, eng *Engine, name string) []string {
+	t.Helper()
+	out, err := eng.Out(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := tableOf(out.Snapshot())
+	rows := make([]string, 0, len(tbl.Rows))
+	for _, r := range tbl.Rows {
+		parts := make([]string, len(r))
+		for i, c := range r {
+			parts[i] = fmt.Sprint(c)
+		}
+		rows = append(rows, strings.Join(parts, "|"))
+	}
+	sort.Strings(rows)
+	return rows
 }
 
 // TestPrunedRoutingDifferential asserts that range-routed (pruned)
@@ -305,5 +316,253 @@ func TestPruneRewireMigratesCatchAll(t *testing.T) {
 	}
 	if out.Len() != 100 {
 		t.Fatalf("late query saw %d residual rows, want 100", out.Len())
+	}
+}
+
+// appendRange appends v = lo..hi-1 to the single-column stream s and
+// runs the net to quiescence.
+func appendRange(t *testing.T, eng *Engine, lo, hi int64) {
+	t.Helper()
+	rows := make([]Row, 0, hi-lo)
+	for v := lo; v < hi; v++ {
+		rows = append(rows, Row{v})
+	}
+	if err := eng.Append("s", rows...); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.RunSync(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// newPruneEngine builds an engine with stream s (v int) at the given
+// strategy and parallelism.
+func newPruneEngine(t *testing.T, strategy Strategy, p int) *Engine {
+	t.Helper()
+	eng := New()
+	if err := eng.SetStrategy(strategy); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.SetParallelism(p); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Exec(`create basket s (v int)`); err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
+// lateJoinerRun registers an outer-predicate member, feeds it, then
+// registers an unconstrained member and feeds a little more. At P=1 the
+// first member's basket expression consumes every tuple it scans, so the
+// late joiner sees only tuples appended after it registered.
+func lateJoinerRun(t *testing.T, strategy Strategy, p int) map[string][]string {
+	eng := newPruneEngine(t, strategy, p)
+	defer eng.Stop()
+	if err := eng.RegisterQuery("low", `select t.v from [select * from s] t where t.v < 100`); err != nil {
+		t.Fatal(err)
+	}
+	appendRange(t, eng, 0, 200)
+	if err := eng.RegisterQuery("all", `select t.v from [select * from s] t`); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.RunSync(); err != nil {
+		t.Fatal(err)
+	}
+	appendRange(t, eng, 200, 220)
+	return map[string][]string{"low": sortedRows(t, eng, "low"), "all": sortedRows(t, eng, "all")}
+}
+
+// rewireRun runs two outer-predicate members through parallelism
+// ps[0] → ps[1] → ps[2], with an unconstrained member joining right
+// after the first switch (before the net runs) and leaving before the
+// second.
+func rewireRun(t *testing.T, strategy Strategy, ps [3]int) map[string][]string {
+	eng := newPruneEngine(t, strategy, ps[0])
+	defer eng.Stop()
+	if err := eng.RegisterQueries([]NamedQuery{
+		{Name: "low", SQL: `select t.v from [select * from s] t where t.v < 100`},
+		{Name: "high", SQL: `select t.v from [select * from s] t where t.v >= 150`},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	appendRange(t, eng, 0, 200)
+	if err := eng.SetParallelism(ps[1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.RegisterQuery("all", `select t.v from [select * from s] t`); err != nil {
+		t.Fatal(err)
+	}
+	appendRange(t, eng, 200, 300)
+	got := map[string][]string{"all": sortedRows(t, eng, "all")}
+	if err := eng.RemoveQuery("all"); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.SetParallelism(ps[2]); err != nil {
+		t.Fatal(err)
+	}
+	appendRange(t, eng, 0, 200)
+	got["low"] = sortedRows(t, eng, "low")
+	got["high"] = sortedRows(t, eng, "high")
+	return got
+}
+
+// assertSameRows compares per-query sorted outputs against the P=1
+// reference. Under partial deletes every member after the first sits
+// behind one that consumes everything, so empty is its P=1 answer; the
+// first member ("low") always emits, or the differential is vacuous.
+func assertSameRows(t *testing.T, what string, got, want map[string][]string) {
+	t.Helper()
+	for name, w := range want {
+		if len(w) == 0 && name == "low" {
+			t.Fatalf("%s: %s emitted nothing at P=1; the differential is vacuous", what, name)
+		}
+		if g := got[name]; strings.Join(g, ",") != strings.Join(w, ",") {
+			t.Errorf("%s: %s emitted %d rows, P=1 emitted %d", what, name, len(g), len(w))
+		}
+	}
+}
+
+// TestDiscardedPruningMatchesP1 pins P=1 equivalence for members whose
+// basket expression has no WHERE: such a member consumes every tuple it
+// scans and rejects the unmatched ones in its outer filter, so a tuple
+// outside the pruning set is gone after one firing at P=1. Partitioned
+// wiring must drop it likewise rather than park it where a rewire hands
+// it to a late joiner: outputs stay byte-identical to P=1 for every
+// strategy at P ∈ {2, 4}.
+func TestDiscardedPruningMatchesP1(t *testing.T) {
+	for _, strategy := range []Strategy{StrategySeparate, StrategyShared, StrategyPartial} {
+		t.Run(string(strategy), func(t *testing.T) {
+			base := lateJoinerRun(t, strategy, 1)
+			for _, p := range []int{2, 4} {
+				assertSameRows(t, fmt.Sprintf("P=%d", p), lateJoinerRun(t, strategy, p), base)
+			}
+		})
+	}
+}
+
+// TestDiscardedPruningRewireMatchesP1 is the mid-stream variant: two
+// outer-predicate members across a live P 4→1→4 round trip, with a
+// member joining right after the drop to P=1, match a run that stays at
+// P=1 throughout.
+func TestDiscardedPruningRewireMatchesP1(t *testing.T) {
+	for _, strategy := range []Strategy{StrategySeparate, StrategyShared, StrategyPartial} {
+		t.Run(string(strategy), func(t *testing.T) {
+			assertSameRows(t, "P 4→1→4", rewireRun(t, strategy, [3]int{4, 1, 4}), rewireRun(t, strategy, [3]int{1, 1, 1}))
+		})
+	}
+}
+
+// TestPrunedCountsBothModes asserts GroupInfo.Pruned counts every tuple
+// outside the pruning set whether the wiring discards it (no WHERE in
+// the basket expression) or parks it in the catch-all (a predicate
+// window), for range and hash+prune routing, on the splitter path and
+// the route-at-ingest path alike.
+func TestPrunedCountsBothModes(t *testing.T) {
+	cases := []struct {
+		name, sql string
+		discard   bool
+	}{
+		{"range/park", `select t.v from [select * from s where v < 100] t`, false},
+		{"range/discard", `select t.v from [select * from s] t where t.v < 100`, true},
+		{"hash/park", `select t.k, count(*) as n from [select * from s where v < 100] t group by t.k`, false},
+		{"hash/discard", `select t.k, count(*) as n from [select * from s] t where t.v < 100 group by t.k`, true},
+	}
+	const n, matching = 300, 100
+	for _, c := range cases {
+		for _, viaIngest := range []bool{false, true} {
+			name := c.name + "/splitter"
+			if viaIngest {
+				name = c.name + "/ingest"
+			}
+			t.Run(name, func(t *testing.T) {
+				eng := New()
+				defer eng.Stop()
+				if err := eng.SetStrategy(StrategyShared); err != nil {
+					t.Fatal(err)
+				}
+				if err := eng.SetParallelism(4); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := eng.Exec(`create basket s (k int, v int)`); err != nil {
+					t.Fatal(err)
+				}
+				if err := eng.RegisterQuery("q", c.sql); err != nil {
+					t.Fatal(err)
+				}
+				if viaIngest {
+					l, err := eng.ListenIngest("s", "127.0.0.1:0", IngestOptions{Shards: 1, BatchSize: 32})
+					if err != nil {
+						t.Fatal(err)
+					}
+					conn, err := net.Dial("tcp", l.Addrs()[0])
+					if err != nil {
+						t.Fatal(err)
+					}
+					bw := ingest.NewBatchWriter(conn, []string{"k", "v"}, []vector.Type{vector.Int, vector.Int}, 32)
+					for i := 0; i < n; i++ {
+						if err := bw.WriteRow(vector.NewInt(int64(i%4)), vector.NewInt(int64(i))); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := bw.Flush(); err != nil {
+						t.Fatal(err)
+					}
+					conn.Close()
+					waitIngested(t, eng, "s", n)
+				} else {
+					rows := make([]Row, n)
+					for i := range rows {
+						rows[i] = Row{int64(i % 4), int64(i)}
+					}
+					if err := eng.Append("s", rows...); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := eng.RunSync(); err != nil {
+					t.Fatal(err)
+				}
+				g := eng.Groups()[0]
+				if g.Pruned != n-matching || g.RoutedParts != matching {
+					t.Fatalf("pruned/routed = %d/%d, want %d/%d", g.Pruned, g.RoutedParts, n-matching, matching)
+				}
+				eng.mu.Lock()
+				pb := eng.groups["s"].pbs[0]
+				eng.mu.Unlock()
+				if (pb.CatchAll() == nil) != c.discard {
+					t.Fatalf("catch-all present = %v, want discard mode %v", pb.CatchAll() != nil, c.discard)
+				}
+				if got := sortedRows(t, eng, "q"); len(got) == 0 {
+					t.Fatal("query emitted nothing")
+				}
+			})
+		}
+	}
+}
+
+// TestExplainSaysDiscardOrPark asserts explain tells whether tuples
+// outside the pruning set are discarded at routing or parked in the
+// catch-all as window residue.
+func TestExplainSaysDiscardOrPark(t *testing.T) {
+	eng := New()
+	defer eng.Stop()
+	if err := eng.SetParallelism(4); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Exec(`create basket s (k int, v int)`); err != nil {
+		t.Fatal(err)
+	}
+	for sql, want := range map[string]string{
+		`select t.v from [select * from s] t where t.v < 100`:                           "outside (-inf,100) are discarded at routing",
+		`select t.v from [select * from s where v < 100] t`:                             "outside (-inf,100) are parked in the catch-all",
+		`select t.k, count(*) as n from [select * from s] t where t.v < 9 group by t.k`: "v outside (-inf,9) are discarded at routing",
+	} {
+		out, err := eng.Explain(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out, want) {
+			t.Errorf("explain of %s lacks %q:\n%s", sql, want, out)
+		}
 	}
 }

@@ -495,18 +495,19 @@ func (e *Engine) wireMemberLocked(g *queryGroup, prefix string, m *groupMember) 
 }
 
 // newPartitionedBasket builds the partitioned basket a routing verdict
-// calls for: range-routed with a catch-all for sargable plans, hash for
-// grouped plans, round-robin otherwise.
+// calls for: range-routed and pruning for sargable plans, hash for
+// grouped plans, round-robin otherwise. Pruned tuples are discarded when
+// the verdict allows it and parked in a catch-all otherwise.
 func newPartitionedBasket(name string, names []string, types []vector.Type, p int, v plan.Verdict) (*basket.PartitionedBasket, error) {
 	switch v.Mode {
 	case plan.PartRange:
-		return basket.NewPartitionedRange(name, names, types, p, v.Col, v.Set())
+		return basket.NewPartitionedRange(name, names, types, p, v.Col, v.Set(), v.Discard)
 	case plan.PartHash:
 		// A grouped plan with a sargable side condition still prunes:
-		// tuples outside the necessary-condition set divert to a catch-all
-		// instead of being hashed to a partial-aggregate clone.
+		// tuples outside the necessary-condition set never reach a
+		// partial-aggregate clone.
 		if col, set, ok := v.Prune(); ok {
-			return basket.NewPartitionedHashPruned(name, names, types, p, v.Col, col, set)
+			return basket.NewPartitionedHashPruned(name, names, types, p, v.Col, col, set, v.Discard)
 		}
 		return basket.NewPartitioned(name, names, types, p, basket.PartitionHash, v.Col)
 	}
@@ -768,8 +769,10 @@ type GroupInfo struct {
 	// RoutedParts counts tuples routed into scanned partitions across all
 	// wirings — the work the query clones actually see.
 	RoutedParts int64
-	// Pruned counts tuples the range router short-circuited into
-	// catch-all baskets: work no clone ever does.
+	// Pruned counts tuples the router kept from every clone because no
+	// member can match them: discarded at routing when every member
+	// would consume and reject them, parked in catch-all baskets
+	// otherwise. Either way, work no clone ever does.
 	Pruned int64
 	// IngestPath describes where group-routed receptor batches currently
 	// land: "stream basket" (splitter-fed) or "route-at-ingest …" when
@@ -874,9 +877,7 @@ func (e *Engine) groupsLocked() []GroupInfo {
 			for _, p := range pb.Parts() {
 				gi.RoutedParts += p.Stats().Appended
 			}
-			if ca := pb.CatchAll(); ca != nil {
-				gi.Pruned += ca.Stats().Appended
-			}
+			gi.Pruned += pb.Pruned()
 			if d := pb.Describe(); !slices.Contains(descs, d) {
 				descs = append(descs, d)
 			}

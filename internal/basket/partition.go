@@ -3,6 +3,7 @@ package basket
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"datacell/internal/bat"
 	"datacell/internal/interval"
@@ -58,9 +59,10 @@ const (
 	// in the plan's sargable interval set: matching tuples spread over
 	// the partitions by range slice (or by hash when the set has no
 	// sliceable measure), and tuples outside the set — which no query of
-	// the wiring can ever match — short-circuit to a catch-all basket
-	// that no clone scans. This is partition pruning: the P-way split
-	// stops being mere placement and becomes work reduction.
+	// the wiring can ever match — are pruned: discarded, or parked in a
+	// catch-all basket that no clone scans. This is partition pruning:
+	// the P-way split stops being mere placement and becomes work
+	// reduction.
 	PartitionRange
 )
 
@@ -85,15 +87,24 @@ func (m PartitionMode) String() string {
 // factory over the partitions and run the clones as independent Petri-net
 // transitions. The routing decision itself lives in the Router, so the
 // same verdict drives the core splitter and the ingest periphery alike.
+//
+// Tuples the router prunes (outside the matching set of range or pruned
+// hash routing) either park in a catch-all basket or, in discard mode,
+// are dropped and counted. Discard mode applies when every query of the
+// wiring would consume such a tuple and reject it: nothing could ever
+// read it back, so there is no catch-all to hold it.
 type PartitionedBasket struct {
 	name   string
 	parts  []*Basket
 	router *Router
-	rest   *Basket // catch-all of range routing, nil otherwise
+	rest   *Basket // catch-all of pruning routers in park mode, nil otherwise
 
 	// dests caches parts + rest so the per-firing append path never
-	// re-slices.
+	// re-slices. In discard mode the router's catch-all slot lies one
+	// past its end.
 	dests []*Basket
+
+	dropped atomic.Int64 // tuples discarded in discard mode
 }
 
 // NewPartitioned creates a partitioned basket of p partitions with the
@@ -128,12 +139,13 @@ func NewPartitioned(name string, names []string, types []vector.Type, p int, mod
 }
 
 // NewPartitionedHashPruned creates a hash-routed partitioned basket of p
-// partitions plus a catch-all: tuples whose pruneCol value lies in set
-// place by hash(hashCol), tuples outside it — which no query of the
-// wiring can ever match — divert to the catch-all before any
-// partial-aggregate clone copies them. Both columns must be declared
-// attributes, and set must not cover every value.
-func NewPartitionedHashPruned(name string, names []string, types []vector.Type, p int, hashCol, pruneCol string, set interval.Set) (*PartitionedBasket, error) {
+// partitions that prunes: tuples whose pruneCol value lies in set place
+// by hash(hashCol), tuples outside it — which no query of the wiring can
+// ever match — are pruned before any partial-aggregate clone copies
+// them, dropped when discard is set and parked in a catch-all otherwise.
+// Both columns must be declared attributes, and set must not cover every
+// value.
+func NewPartitionedHashPruned(name string, names []string, types []vector.Type, p int, hashCol, pruneCol string, set interval.Set, discard bool) (*PartitionedBasket, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("basket: partitioned %s: need at least 1 partition, got %d", name, p)
 	}
@@ -153,22 +165,17 @@ func NewPartitionedHashPruned(name string, names []string, types []vector.Type, 
 	if err != nil {
 		return nil, fmt.Errorf("basket: partitioned %s: %w", name, err)
 	}
-	pb := &PartitionedBasket{name: name, router: router}
-	for i := 0; i < p; i++ {
-		pb.parts = append(pb.parts, New(fmt.Sprintf("%s.p%d", name, i), names, types))
-	}
-	pb.rest = New(name+".rest", names, types)
-	pb.dests = append(append([]*Basket(nil), pb.parts...), pb.rest)
-	return pb, nil
+	return newPruning(name, names, types, p, router, discard), nil
 }
 
 // NewPartitionedRange creates a range-routed partitioned basket of p
-// partitions plus a catch-all: tuples whose col value lies in set spread
-// over the partitions (by equal-measure range slices when the set is
-// numeric and bounded, by hash otherwise), tuples outside set go to the
-// catch-all. col must be one of the declared attributes and set must not
-// cover every value (that would just be round-robin with extra steps).
-func NewPartitionedRange(name string, names []string, types []vector.Type, p int, col string, set interval.Set) (*PartitionedBasket, error) {
+// partitions: tuples whose col value lies in set spread over the
+// partitions (by equal-measure range slices when the set is numeric and
+// bounded, by hash otherwise), tuples outside set are dropped when
+// discard is set and parked in a catch-all otherwise. col must be one of
+// the declared attributes and set must not cover every value (that would
+// just be round-robin with extra steps).
+func NewPartitionedRange(name string, names []string, types []vector.Type, p int, col string, set interval.Set, discard bool) (*PartitionedBasket, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("basket: partitioned %s: need at least 1 partition, got %d", name, p)
 	}
@@ -189,13 +196,23 @@ func NewPartitionedRange(name string, names []string, types []vector.Type, p int
 	if err != nil {
 		return nil, fmt.Errorf("basket: partitioned %s: %w", name, err)
 	}
+	return newPruning(name, names, types, p, router, discard), nil
+}
+
+// newPruning assembles a partitioned basket around a router with a
+// catch-all slot: p partitions, plus the catch-all basket unless pruned
+// tuples are discarded.
+func newPruning(name string, names []string, types []vector.Type, p int, router *Router, discard bool) *PartitionedBasket {
 	pb := &PartitionedBasket{name: name, router: router}
 	for i := 0; i < p; i++ {
 		pb.parts = append(pb.parts, New(fmt.Sprintf("%s.p%d", name, i), names, types))
 	}
-	pb.rest = New(name+".rest", names, types)
-	pb.dests = append(append([]*Basket(nil), pb.parts...), pb.rest)
-	return pb, nil
+	pb.dests = pb.parts
+	if !discard {
+		pb.rest = New(name+".rest", names, types)
+		pb.dests = append(append([]*Basket(nil), pb.parts...), pb.rest)
+	}
+	return pb
 }
 
 // Name returns the partitioned basket's name.
@@ -205,15 +222,24 @@ func (pb *PartitionedBasket) Name() string { return pb.name }
 // partition order. The catch-all is not among them.
 func (pb *PartitionedBasket) Parts() []*Basket { return pb.parts }
 
-// CatchAll returns the catch-all basket of range routing — the resting
-// place of tuples no query of the wiring can match — or nil for the
-// other modes.
+// CatchAll returns the catch-all basket of a pruning router in park
+// mode — the resting place of tuples no query of the wiring can match —
+// or nil otherwise (no pruning, or pruned tuples are discarded).
 func (pb *PartitionedBasket) CatchAll() *Basket { return pb.rest }
 
+// Pruned returns the number of tuples pruned so far: parked in the
+// catch-all or, in discard mode, dropped.
+func (pb *PartitionedBasket) Pruned() int64 {
+	n := pb.dropped.Load()
+	if pb.rest != nil {
+		n += pb.rest.Stats().Appended
+	}
+	return n
+}
+
 // Destinations returns every basket a tuple can be routed to: the
-// partitions in order, then the catch-all when range routing is active.
-// Split's result is indexed the same way. Callers must not mutate the
-// returned slice.
+// partitions in order, then the catch-all when pruned tuples are parked.
+// Callers must not mutate the returned slice.
 func (pb *PartitionedBasket) Destinations() []*Basket { return pb.dests }
 
 // Router returns the routing decision of this partitioned basket, shared
@@ -237,23 +263,10 @@ func (pb *PartitionedBasket) Mode() PartitionMode { return pb.router.Mode() }
 // HashCol returns the hash routing column ("" under round-robin).
 func (pb *PartitionedBasket) HashCol() string { return pb.router.Col() }
 
-// Split computes the routing assignment of rel's tuples, returning one
-// ascending position list per destination basket (see Destinations; nil
-// for destinations that receive nothing). Under range routing the final
-// entry is the catch-all's. It advances the round-robin cursor but does
-// not touch the partition baskets.
-func (pb *PartitionedBasket) Split(rel *bat.Relation) ([][]int32, error) {
-	sels, err := pb.router.Route(rel)
-	if err != nil {
-		return nil, fmt.Errorf("basket: partitioned %s: %w", pb.name, err)
-	}
-	return sels, nil
-}
-
 // Append shards rel across the destinations through the public Basket
 // ingest API (locking, integrity constraints, arrival stamping and
 // scheduler wake-ups per destination). It returns the number of tuples
-// accepted.
+// accepted, counting discarded tuples: they are consumed, not refused.
 func (pb *PartitionedBasket) Append(rel *bat.Relation) (int, error) {
 	return pb.append(rel, (*Basket).Append)
 }
@@ -267,9 +280,11 @@ func (pb *PartitionedBasket) AppendLocked(rel *bat.Relation) (int, error) {
 }
 
 // append routes rel with pooled position buffers and hands every
-// non-empty destination slice to sink (Append or AppendLocked).
+// non-empty destination slice to sink (Append or AppendLocked). The
+// catch-all slot of a discarding basket is only counted: its tuples are
+// neither gathered nor appended anywhere.
 func (pb *PartitionedBasket) append(rel *bat.Relation, sink func(*Basket, *bat.Relation) (int, error)) (int, error) {
-	sp := borrowSels(len(pb.dests))
+	sp := borrowSels(pb.router.NumDestinations())
 	defer selsPool.Put(sp)
 	sels, err := pb.router.RouteInto(rel, *sp)
 	if err != nil {
@@ -281,6 +296,11 @@ func (pb *PartitionedBasket) append(rel *bat.Relation, sink func(*Basket, *bat.R
 	total := 0
 	for k, sel := range sels {
 		if len(sel) == 0 {
+			continue
+		}
+		if k == len(pb.dests) {
+			pb.dropped.Add(int64(len(sel)))
+			total += len(sel)
 			continue
 		}
 		n, err := sink(pb.dests[k], rel.GatherInto(stage, sel))

@@ -127,7 +127,7 @@ func TestPartitionedRangeRoutesAndPrunes(t *testing.T) {
 	// Matching domain [0,100) sliced over 4 partitions; everything else
 	// must land in the catch-all.
 	pb, err := NewPartitionedRange("s", []string{"k", "v"}, []vector.Type{vector.Int, vector.Int},
-		4, "v", rangeSet(0, 100))
+		4, "v", rangeSet(0, 100), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestPartitionedRangeHashPlacementForPointSets(t *testing.T) {
 		interval.Point(vector.NewInt(7)),
 		interval.Point(vector.NewInt(11)))
 	pb, err := NewPartitionedRange("s", []string{"v"}, []vector.Type{vector.Int},
-		2, "v", set)
+		2, "v", set, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,19 +205,19 @@ func TestPartitionedRangeHashPlacementForPointSets(t *testing.T) {
 
 func TestPartitionedRangeRejections(t *testing.T) {
 	if _, err := NewPartitionedRange("s", []string{"v"}, []vector.Type{vector.Int},
-		2, "nope", rangeSet(0, 10)); err == nil {
+		2, "nope", rangeSet(0, 10), false); err == nil {
 		t.Fatal("NewPartitionedRange should reject a column outside the schema")
 	}
 	all := interval.NewSet(interval.Interval{Lo: interval.Unbounded(), Hi: interval.Unbounded()})
 	if _, err := NewPartitionedRange("s", []string{"v"}, []vector.Type{vector.Int},
-		2, "v", all); err == nil {
+		2, "v", all, false); err == nil {
 		t.Fatal("NewPartitionedRange should reject a vacuous all-values set")
 	}
 }
 
 func TestPartitionedRangeSinglePartitionStillPrunes(t *testing.T) {
 	pb, err := NewPartitionedRange("s", []string{"v"}, []vector.Type{vector.Int},
-		1, "v", rangeSet(0, 10))
+		1, "v", rangeSet(0, 10), false)
 	if err != nil {
 		t.Fatal(err)
 	}

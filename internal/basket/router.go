@@ -37,6 +37,13 @@ type Router struct {
 	set  interval.Set
 	cuts []float64
 
+	// spans is set compiled to closed int64 runs when every finite bound
+	// is an Int or Timestamp value (intSet); Int and Timestamp columns
+	// then test membership on their raw payload. Any other set or column
+	// falls back to set.Contains.
+	spans  []intSpan
+	intSet bool
+
 	// Hash-prune state (mode PartitionHash with a sargable side
 	// condition): tuples whose pruneCol value lies outside set divert to
 	// the catch-all slot p before any partial-aggregate clone sees them,
@@ -71,7 +78,9 @@ func NewHashPrunedRouter(hashCol, pruneCol string, p int, set interval.Set) (*Ro
 	if set.All() {
 		return nil, fmt.Errorf("basket: router: prune set on %q covers every value; use plain hash", pruneCol)
 	}
-	return &Router{mode: PartitionHash, col: hashCol, p: p, pruneCol: pruneCol, set: set}, nil
+	r := &Router{mode: PartitionHash, col: hashCol, p: p, pruneCol: pruneCol, set: set}
+	r.spans, r.intSet = compileIntSet(set)
+	return r, nil
 }
 
 // NewRangeRouter builds a range router over p destinations plus the
@@ -84,6 +93,7 @@ func NewRangeRouter(col string, p int, set interval.Set) (*Router, error) {
 	}
 	r := &Router{mode: PartitionRange, col: col, p: p, set: set}
 	r.cuts, _ = set.Cuts(p)
+	r.spans, r.intSet = compileIntSet(set)
 	return r, nil
 }
 
@@ -122,19 +132,12 @@ func (r *Router) Describe() string {
 	return r.mode.String()
 }
 
-// Route computes the routing assignment of rel's tuples, returning one
-// ascending position list per destination slot (nil for slots that
-// receive nothing). Under range routing the final slot is the
-// catch-all's. It advances the round-robin cursor but does not touch any
-// basket.
-func (r *Router) Route(rel *bat.Relation) ([][]int32, error) {
-	sels := make([][]int32, r.NumDestinations())
-	return r.RouteInto(rel, sels)
-}
-
-// RouteInto is Route assigning into a caller-provided slice of
-// NumDestinations position lists, reusing their capacity (entries are
-// truncated, not reallocated, when possible). It returns sels.
+// RouteInto computes the routing assignment of rel's tuples into a
+// caller-provided slice of NumDestinations position lists, one ascending
+// list per destination slot, reusing their capacity (entries are
+// truncated, not reallocated, when possible). Under range routing and
+// pruned hash routing the final slot is the catch-all's. It advances the
+// round-robin cursor but does not touch any basket. It returns sels.
 func (r *Router) RouteInto(rel *bat.Relation, sels [][]int32) ([][]int32, error) {
 	if len(sels) != r.NumDestinations() {
 		return nil, fmt.Errorf("basket: router: %d destination slots, want %d", len(sels), r.NumDestinations())
@@ -170,8 +173,9 @@ func (r *Router) RouteInto(rel *bat.Relation, sels [][]int32) ([][]int32, error)
 				return nil, fmt.Errorf("basket: router: relation has no column %q", r.pruneCol)
 			}
 		}
+		pints := r.intsOf(pv)
 		for i := 0; i < n; i++ {
-			if pv != nil && !r.set.Contains(pv.Get(i)) {
+			if pv != nil && !r.member(pv, pints, i) {
 				// Necessary condition fails: no query of the wiring can
 				// match the tuple, divert it past the clones.
 				sels[p] = append(sels[p], int32(i))
@@ -185,10 +189,10 @@ func (r *Router) RouteInto(rel *bat.Relation, sels [][]int32) ([][]int32, error)
 		if v == nil {
 			return nil, fmt.Errorf("basket: router: relation has no column %q", r.col)
 		}
+		ints := r.intsOf(v)
 		for i := 0; i < n; i++ {
-			val := v.Get(i)
 			k := p // catch-all: no query of this wiring can match the tuple
-			if r.set.Contains(val) {
+			if r.member(v, ints, i) {
 				switch {
 				case p == 1:
 					k = 0
@@ -198,7 +202,12 @@ func (r *Router) RouteInto(rel *bat.Relation, sels [][]int32) ([][]int32, error)
 					// right, mirroring the `lo <= v and v < hi` window
 					// idiom). Placement within the matching set never
 					// affects correctness, only balance.
-					x := val.AsFloat()
+					var x float64
+					if ints != nil {
+						x = float64(ints[i])
+					} else {
+						x = v.Get(i).AsFloat()
+					}
 					k = sort.Search(len(r.cuts), func(i int) bool { return r.cuts[i] > x })
 					if k >= p {
 						k = p - 1
@@ -215,6 +224,87 @@ func (r *Router) RouteInto(rel *bat.Relation, sels [][]int32) ([][]int32, error)
 		return nil, fmt.Errorf("basket: router: unknown mode %d", r.mode)
 	}
 	return sels, nil
+}
+
+// intsOf returns the raw payload of column v when membership can be
+// tested on int64 spans (an integral set over an Int or Timestamp
+// column), nil otherwise.
+func (r *Router) intsOf(v *vector.Vector) []int64 {
+	if v == nil || !r.intSet || (v.Kind() != vector.Int && v.Kind() != vector.Timestamp) {
+		return nil
+	}
+	return v.Ints()
+}
+
+// member reports whether element i of column v lies in the routing set:
+// on the compiled spans when ints (from intsOf) is non-nil, through
+// Set.Contains otherwise.
+func (r *Router) member(v *vector.Vector, ints []int64, i int) bool {
+	if ints != nil {
+		return containsInt(r.spans, ints[i])
+	}
+	return r.set.Contains(v.Get(i))
+}
+
+// intSpan is one closed run [lo, hi] of an integral interval set.
+type intSpan struct{ lo, hi int64 }
+
+// compileIntSet lowers an interval set whose finite bounds are all Int
+// or Timestamp values to ascending, disjoint closed int64 spans: open
+// bounds tighten by one (guarded at MinInt64/MaxInt64), unbounded ends
+// become MinInt64/MaxInt64, and spans holding no integer, such as (3,4),
+// vanish. ok is false when some bound has another kind (float, string,
+// bool); such sets keep exact Set.Contains membership.
+func compileIntSet(s interval.Set) (spans []intSpan, ok bool) {
+	for _, iv := range s.Intervals() {
+		if !integralBound(iv.Lo) || !integralBound(iv.Hi) {
+			return nil, false
+		}
+		lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
+		if !iv.Lo.Unbounded {
+			lo = iv.Lo.Val.I
+			if iv.Lo.Open {
+				if lo == math.MaxInt64 {
+					continue
+				}
+				lo++
+			}
+		}
+		if !iv.Hi.Unbounded {
+			hi = iv.Hi.Val.I
+			if iv.Hi.Open {
+				if hi == math.MinInt64 {
+					continue
+				}
+				hi--
+			}
+		}
+		if lo <= hi {
+			spans = append(spans, intSpan{lo: lo, hi: hi})
+		}
+	}
+	return spans, true
+}
+
+// integralBound reports whether b is unbounded or carries an Int or
+// Timestamp value.
+func integralBound(b interval.Bound) bool {
+	return b.Unbounded || b.Val.Kind == vector.Int || b.Val.Kind == vector.Timestamp
+}
+
+// containsInt reports whether x lies in one of the ascending disjoint
+// spans, by binary search for the first span ending at or above x.
+func containsInt(spans []intSpan, x int64) bool {
+	lo, hi := 0, len(spans)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if spans[m].hi < x {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo < len(spans) && spans[lo].lo <= x
 }
 
 // appendPositions appends 0..n-1 to sel.

@@ -10,9 +10,9 @@ import (
 
 // NewPartitionSplitter builds the fan-out transition of partitioned stream
 // execution: every firing moves all tuples of `in` into the partitions of
-// pb (round-robin, hash or range routing; range routing additionally
-// diverts tuples no query can match into pb's catch-all basket, which no
-// clone scans). A guard defers the firing while any partition is disabled
+// pb (round-robin, hash or range routing; a pruning router additionally
+// keeps tuples no query can match from every clone, discarding them or
+// parking them in pb's catch-all basket). A guard defers the firing while any partition is disabled
 // — a shared-baskets cycle is mid-flight on it and appending would let
 // that cycle's readers see different snapshots — and re-enabling a
 // partition pings the splitter, so deferred tuples never strand.
@@ -76,9 +76,10 @@ func NewMergeEmitter(name string, staging []*basket.Basket, out *basket.Basket) 
 type Partitioned struct {
 	Splitter *Factory
 	Parts    []*basket.Basket
-	// CatchAll is the range-routing residual basket (nil otherwise): the
-	// splitter parks tuples no query of the wiring can match there, and
-	// no clone ever scans it.
+	// CatchAll is the pruning router's residual basket (nil when nothing
+	// is pruned or pruned tuples are discarded): the splitter parks
+	// tuples no query of the wiring can match there, and no clone ever
+	// scans it.
 	CatchAll *basket.Basket
 	// Staging and QueryFs are indexed [query][partition]: the staging
 	// result basket and the clone factory executing that query on that

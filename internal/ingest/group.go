@@ -35,8 +35,9 @@ type BatchLog interface {
 // Sink is where a receptor delivers decoded batches: the stream basket
 // (splitter-fed path) or a partitioned basket (route-at-ingest path).
 // Occupancy reports the largest resident tuple count across the sink's
-// scanned destinations — the backpressure signal; the catch-all of range
-// routing is excluded, since no factory drains it.
+// scanned destinations — the backpressure signal. Pruned tuples never
+// count: they are discarded at routing or parked in a catch-all that no
+// factory drains.
 type Sink interface {
 	Append(rel *bat.Relation) (int, error)
 	Occupancy() int
@@ -54,8 +55,9 @@ func (s basketSink) Describe() string                      { return "stream bask
 func BasketSink(b *basket.Basket) Sink { return basketSink{b: b} }
 
 // partitionedSink routes every batch through the partitioned basket's
-// Router straight into the destination partitions (and catch-all),
-// skipping the stream basket and the splitter transition entirely.
+// Router straight into the destination partitions (pruned tuples are
+// discarded or parked in the catch-all), skipping the stream basket and
+// the splitter transition entirely.
 type partitionedSink struct{ pb *basket.PartitionedBasket }
 
 func (s partitionedSink) Append(rel *bat.Relation) (int, error) { return s.pb.Append(rel) }

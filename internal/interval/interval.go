@@ -2,8 +2,8 @@
 // values, the value-domain algebra behind predicate/range-aware partition
 // routing: the planner derives, for a sargable predicate, the set of
 // column values a matching tuple can possibly carry, and the partitioned
-// basket routes tuples whose value falls outside that set to a catch-all
-// partition that no query clone ever scans.
+// basket keeps tuples whose value falls outside that set from every
+// query clone (discarding them, or parking them in a catch-all).
 //
 // A Set is a union of disjoint intervals in ascending order. Bounds carry
 // open/closed flags and may be unbounded, so every sargable SQL shape

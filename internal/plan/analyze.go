@@ -50,7 +50,7 @@ type StreamScan struct {
 	// Part is the plan's partitionability verdict: range for row-local
 	// predicate-window selects with a sargable predicate (Part.Col names
 	// the routing column, Part.Ranges the per-column necessary-condition
-	// sets — tuples outside Part.Set() prune to the catch-all),
+	// sets — tuples outside Part.Set() are pruned),
 	// round-robin for other row-local selects (any disjoint split of the
 	// stream yields the same results), hash for grouped plans (Part.Col
 	// names the stream column whose equal values must co-locate), none

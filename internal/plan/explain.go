@@ -80,10 +80,10 @@ func explainFiring(b *strings.Builder, cat *Catalog, s *sql.SelectStmt) {
 		case PartHash:
 			fmt.Fprintf(b, "  partitionable: hash(%s) (grouped plan, keys co-locate)\n", v.Col)
 			if col, set, ok := v.Prune(); ok {
-				fmt.Fprintf(b, "  prune: %s in %s (non-matching tuples divert to the catch-all before partial aggregation)\n", col, set)
+				fmt.Fprintf(b, "  prune: %s in %s (non-matching tuples are pruned before partial aggregation)\n", col, set)
 			}
 		case PartRange:
-			fmt.Fprintf(b, "  partitionable: range(%s in %s) (sargable predicate; non-matching tuples prune to the catch-all)\n",
+			fmt.Fprintf(b, "  partitionable: range(%s in %s) (sargable predicate; non-matching tuples are pruned)\n",
 				v.Col, v.Set())
 		default:
 			b.WriteString("  partitionable: no (plan must see the whole stream)\n")

@@ -30,8 +30,8 @@ const (
 	// condition on one stream column restricts the values a matching
 	// tuple can carry, so the splitter routes tuples inside the set
 	// across the partitions by range (or hash, when the set has no
-	// sliceable measure) and prunes tuples outside it to a catch-all
-	// partition no clone scans.
+	// sliceable measure) and prunes tuples outside it: no clone sees
+	// them (see Verdict.Discard for where they go).
 	PartRange
 )
 
@@ -55,10 +55,20 @@ func (m PartMode) String() string {
 // the per-column necessary-condition sets the sargable analysis derived
 // (Ranges[Col] is the set routed on; the other entries let a query group
 // find a column every member constrains).
+//
+// Discard reports that tuples outside the pruning set may be dropped at
+// routing instead of parked in a catch-all. It holds exactly when the
+// basket expression has no WHERE (scanShape already limits it to
+// `[select * from s]`): such an expression consumes every tuple it
+// scans, so at P=1 a tuple no outer filter accepts is gone after one
+// firing and nothing can ever see it again. With a predicate inside the
+// basket expression, unmatched tuples are window residue that stays
+// visible to late joiners, and the catch-all must keep them.
 type Verdict struct {
-	Mode   PartMode
-	Col    string
-	Ranges map[string]interval.Set
+	Mode    PartMode
+	Col     string
+	Ranges  map[string]interval.Set
+	Discard bool
 }
 
 // Set returns the routing column's interval set (range mode).
@@ -116,10 +126,15 @@ func (v Verdict) ClampP(p int) int {
 //     union can match no member, so the catch-all stays safe;
 //   - otherwise the group falls back to round-robin (an unconstrained
 //     row-local member may match any tuple, so nothing can be pruned).
+//
+// Pruned tuples may be discarded only when every member would consume
+// and reject them, so Discard is the AND of the members' flags.
 func CombineVerdicts(vs ...Verdict) Verdict {
 	allRange := len(vs) > 0
+	discard := len(vs) > 0
 	var hash *Verdict
 	for i := range vs {
+		discard = discard && vs[i].Discard
 		switch vs[i].Mode {
 		case PartNone:
 			return Verdict{Mode: PartNone}
@@ -134,7 +149,7 @@ func CombineVerdicts(vs ...Verdict) Verdict {
 		}
 	}
 	if hash != nil {
-		out := Verdict{Mode: PartHash, Col: hash.Col}
+		out := Verdict{Mode: PartHash, Col: hash.Col, Discard: discard}
 		// Hash routing can still prune: a tuple outside every member's
 		// necessary-condition set matches no member, so the splitter may
 		// divert it to the catch-all before any clone aggregates it.
@@ -151,7 +166,7 @@ func CombineVerdicts(vs ...Verdict) Verdict {
 	if !ok {
 		return Verdict{Mode: PartRoundRobin}
 	}
-	return Verdict{Mode: PartRange, Col: col, Ranges: union}
+	return Verdict{Mode: PartRange, Col: col, Ranges: union, Discard: discard}
 }
 
 // unionRanges intersects the constrained column sets across members,
@@ -266,6 +281,7 @@ func partitionVerdict(cat *Catalog, sel *sql.SelectStmt, streamName string) Verd
 			delete(sets, col)
 		}
 	}
+	discard := be.Where == nil
 	if !aggregated {
 		if len(sel.OrderBy) == 0 && sel.Top >= 0 {
 			// An unordered TOP keeps whichever tuples arrive first; any
@@ -276,9 +292,9 @@ func partitionVerdict(cat *Catalog, sel *sql.SelectStmt, streamName string) Verd
 			return none
 		}
 		if col, ok := bestRangeCol(sets); ok {
-			return Verdict{Mode: PartRange, Col: col, Ranges: sets}
+			return Verdict{Mode: PartRange, Col: col, Ranges: sets, Discard: discard}
 		}
-		return Verdict{Mode: PartRoundRobin}
+		return Verdict{Mode: PartRoundRobin, Discard: discard}
 	}
 	tp := twoPhaseSpec(cat, sel, streamName)
 	if tp == nil {
@@ -293,7 +309,7 @@ func partitionVerdict(cat *Catalog, sel *sql.SelectStmt, streamName string) Verd
 		if !ok {
 			return none
 		}
-		v := Verdict{Mode: PartHash, Col: key}
+		v := Verdict{Mode: PartHash, Col: key, Discard: discard}
 		if len(sets) > 0 {
 			v.Ranges = sets
 		}
@@ -305,7 +321,7 @@ func partitionVerdict(cat *Catalog, sel *sql.SelectStmt, streamName string) Verd
 	// combines bit-exactly.
 	if tp.nKeys > 0 {
 		if key, ok := plainStreamCol(sel.GroupBy[0], names); ok {
-			v := Verdict{Mode: PartHash, Col: key}
+			v := Verdict{Mode: PartHash, Col: key, Discard: discard}
 			if len(sets) > 0 {
 				v.Ranges = sets
 			}
@@ -315,9 +331,9 @@ func partitionVerdict(cat *Catalog, sel *sql.SelectStmt, streamName string) Verd
 	// Expression keys and global aggregates: any disjoint split works —
 	// the combining merge re-groups across partitions.
 	if col, ok := bestRangeCol(sets); ok {
-		return Verdict{Mode: PartRange, Col: col, Ranges: sets}
+		return Verdict{Mode: PartRange, Col: col, Ranges: sets, Discard: discard}
 	}
-	return Verdict{Mode: PartRoundRobin}
+	return Verdict{Mode: PartRoundRobin, Discard: discard}
 }
 
 // plainStreamCol reports whether g is a bare (possibly qualified) column

@@ -14,8 +14,9 @@ import (
 // tuple must fall into. pred(t) ⟹ t.col ∈ set, never the converse — the
 // clone still evaluates the full predicate, so routing may send it false
 // positives but must never hide a potential match. Tuples outside every
-// set can match nothing and are routed to the catch-all partition that no
-// clone scans; that is what turns a P-way split into work reduction.
+// set can match nothing and never reach a clone (the router discards them
+// or parks them in a catch-all, see Verdict.Discard); that is what turns
+// a P-way split into work reduction.
 
 // sargableSets extracts the per-column necessary-condition interval sets
 // of predicate x. types maps the stream's user columns (lower-case,

@@ -30,7 +30,7 @@ type PruneResult struct {
 	// catch-all instead.
 	PerClone          float64
 	PlacementPerClone float64 // tuples/P: what blind placement would deliver
-	Pruned            int64   // tuples short-circuited to catch-all baskets
+	Pruned            int64   // tuples no clone saw: discarded at routing or parked in catch-alls
 }
 
 // RunPrune measures partition pruning end to end: q adjacent

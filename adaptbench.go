@@ -32,36 +32,32 @@ type AdaptResult struct {
 // benchmark-timescale options; its cap stays min(4, GOMAXPROCS) so a
 // one-core box never scales past the P=1 baseline.
 func RunAdapt(mode string, tuples int, seed int64) (AdaptResult, error) {
-	eng := New()
-	defer eng.Stop()
-	if err := eng.SetStrategy(StrategySeparate); err != nil {
-		return AdaptResult{}, err
-	}
+	opts := []Option{WithStrategy(StrategySeparate)}
 	auto := mode == "auto"
 	if auto {
 		maxP := 4
 		if n := runtime.GOMAXPROCS(0); n < maxP {
 			maxP = n
 		}
-		eng.SetAdaptOptions(AdaptOptions{
+		opts = append(opts, WithAdaptOptions(AdaptOptions{
 			Tick:           5 * time.Millisecond,
 			HighWater:      8192,
 			LowWater:       1024,
 			Patience:       2,
 			Cooldown:       50 * time.Millisecond,
 			MaxParallelism: maxP,
-		})
-		if err := eng.SetParallelismAuto(); err != nil {
-			return AdaptResult{}, err
-		}
+		}), WithParallelismAuto())
 	} else {
 		var p int
 		if _, err := fmt.Sscanf(mode, "static-%d", &p); err != nil {
 			return AdaptResult{}, fmt.Errorf("datacell: adapt mode %q (want \"auto\" or \"static-N\")", mode)
 		}
-		if err := eng.SetParallelism(p); err != nil {
-			return AdaptResult{}, err
-		}
+		opts = append(opts, WithParallelism(p))
+	}
+	eng := New(opts...)
+	defer eng.Stop()
+	if err := eng.Err(); err != nil {
+		return AdaptResult{}, err
 	}
 	if _, err := eng.Exec(`create basket s (k int, v int)`); err != nil {
 		return AdaptResult{}, err
@@ -87,7 +83,7 @@ func RunAdapt(mode string, tuples int, seed int64) (AdaptResult, error) {
 	rng := rand.New(rand.NewSource(seed))
 	maxP := 1
 	observe := func() {
-		for _, g := range eng.Groups() {
+		for _, g := range eng.Snapshot().Groups {
 			if g.Stream == "s" && g.CurrentP > maxP {
 				maxP = g.CurrentP
 			}
@@ -144,7 +140,7 @@ func RunAdapt(mode string, tuples int, seed int64) (AdaptResult, error) {
 		}
 		res.Results += out.Len()
 	}
-	for _, g := range eng.Groups() {
+	for _, g := range eng.Snapshot().Groups {
 		if g.Stream == "s" {
 			res.Rewires = g.Rewires
 			res.FinalP = g.CurrentP

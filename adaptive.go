@@ -12,8 +12,7 @@ import (
 // AdaptOptions tunes the adaptive-parallelism controller (`set
 // parallelism = auto`). The zero value means defaults; see
 // internal/adapt.Config for the per-field semantics and default values.
-// Options apply to controllers engine-wide; SetAdaptOptions resets every
-// group's hysteresis state.
+// Options apply to controllers engine-wide (WithAdaptOptions).
 type AdaptOptions struct {
 	// Tick is the sampling interval of the load metronome. Default 50ms.
 	Tick time.Duration
@@ -61,11 +60,11 @@ func (o AdaptOptions) tick() time.Duration {
 	return 50 * time.Millisecond
 }
 
-// SetAdaptOptions replaces the controller tuning. Existing controllers
-// are discarded (their hysteresis restarts under the new thresholds);
-// current per-group targets persist until the controllers decide
-// otherwise.
-func (e *Engine) SetAdaptOptions(o AdaptOptions) {
+// setAdaptOptions replaces the controller tuning (WithAdaptOptions).
+// Existing controllers are discarded (their hysteresis restarts under the
+// new thresholds); current per-group targets persist until the
+// controllers decide otherwise.
+func (e *Engine) setAdaptOptions(o AdaptOptions) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.adaptOpts = o
@@ -74,14 +73,15 @@ func (e *Engine) SetAdaptOptions(o AdaptOptions) {
 	}
 }
 
-// SetParallelismAuto hands the partition count of every group without a
-// per-stream override to the adaptive controller. Each such group starts
-// from P=1 — the configuration static sweeps prove safe on any box — and
-// scales up only on sustained backpressure, never beyond
-// min(MaxParallelism, GOMAXPROCS) or what the group's partitionability
-// verdict can exploit. SetParallelism(N) switches back to static. It can
-// be called while the engine runs.
-func (e *Engine) SetParallelismAuto() error {
+// setParallelismAuto hands the partition count of every group without a
+// per-stream override to the adaptive controller (WithParallelismAuto,
+// `set parallelism = auto`). Each such group starts from P=1 — the
+// configuration static sweeps prove safe on any box — and scales up only
+// on sustained backpressure, never beyond min(MaxParallelism, GOMAXPROCS)
+// or what the group's partitionability verdict can exploit.
+// `set parallelism = N` switches back to static. It can run while the
+// engine runs.
+func (e *Engine) setParallelismAuto() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.autoParallel {
@@ -97,18 +97,10 @@ func (e *Engine) SetParallelismAuto() error {
 	return e.rewireAllLocked()
 }
 
-// ParallelismAuto reports whether the adaptive controller drives the
-// engine-wide partition count.
-func (e *Engine) ParallelismAuto() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.autoParallel
-}
-
-// SetStreamParallelism pins one stream's query group to a fixed
+// setStreamParallelism pins one stream's query group to a fixed
 // partition count, overriding both the engine-wide setting and the
 // controller (`set parallelism = N on <stream>`).
-func (e *Engine) SetStreamParallelism(stream string, p int) error {
+func (e *Engine) setStreamParallelism(stream string, p int) error {
 	if p < 1 {
 		return fmt.Errorf("datacell: parallelism must be at least 1, got %d", p)
 	}
@@ -126,10 +118,10 @@ func (e *Engine) SetStreamParallelism(stream string, p int) error {
 	return e.rewireLocked(g)
 }
 
-// SetStreamParallelismAuto hands one stream's partition count to the
+// setStreamParallelismAuto hands one stream's partition count to the
 // adaptive controller regardless of the engine-wide setting
 // (`set parallelism = auto on <stream>`).
-func (e *Engine) SetStreamParallelismAuto(stream string) error {
+func (e *Engine) setStreamParallelismAuto(stream string) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	g, err := e.groupLocked(stream)
@@ -147,10 +139,10 @@ func (e *Engine) SetStreamParallelismAuto(stream string) error {
 	return e.rewireLocked(g)
 }
 
-// ClearStreamParallelism removes a stream's parallelism override so the
+// clearStreamParallelism removes a stream's parallelism override so the
 // group follows the engine-wide setting again
 // (`set parallelism = default on <stream>`).
-func (e *Engine) ClearStreamParallelism(stream string) error {
+func (e *Engine) clearStreamParallelism(stream string) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	g, err := e.groupLocked(stream)

@@ -33,12 +33,9 @@ func RunAgg(strategy Strategy, parallelism, q, tuples, batch int, seed int64) (A
 	if q < 1 {
 		return AggResult{}, fmt.Errorf("datacell: agg run needs at least 1 query, got %d", q)
 	}
-	eng := New()
+	eng := New(WithStrategy(strategy), WithParallelism(parallelism))
 	defer eng.Stop()
-	if err := eng.SetStrategy(strategy); err != nil {
-		return AggResult{}, err
-	}
-	if err := eng.SetParallelism(parallelism); err != nil {
+	if err := eng.Err(); err != nil {
 		return AggResult{}, err
 	}
 	if _, err := eng.Exec(`create basket s (k int, v int)`); err != nil {
@@ -117,7 +114,7 @@ func RunAgg(strategy Strategy, parallelism, q, tuples, batch int, seed int64) (A
 		}
 		res.Results += out.Len()
 	}
-	for _, g := range eng.Groups() {
+	for _, g := range eng.Snapshot().Groups {
 		if g.Partitions > res.Partitions {
 			res.Partitions = g.Partitions
 		}

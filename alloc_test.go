@@ -81,7 +81,7 @@ func TestSamplingAddsNoFiringAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		if auto {
-			if err := eng.SetParallelismAuto(); err != nil {
+			if _, err := eng.Exec(`set parallelism = auto`); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -149,7 +149,7 @@ func TestSamplingKeepsAppendZeroAlloc(t *testing.T) {
 	if err := eng.RegisterQuery("q", `select t.v from [select * from s] t where t.v < 100`); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.SetParallelismAuto(); err != nil {
+	if _, err := eng.Exec(`set parallelism = auto`); err != nil {
 		t.Fatal(err)
 	}
 	const batch = 1000

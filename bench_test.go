@@ -94,7 +94,7 @@ func BenchmarkFig5aBatchProcessing(b *testing.B) {
 // varying the number of installed queries at a fixed batch of 10^5 tuples
 // (Figure 5b), driven through the public engine API: the queries are
 // registered as SQL continuous queries and the strategy is selected with
-// Engine.SetStrategy, exactly as an application would. Expected ordering:
+// WithStrategy, exactly as an application would. Expected ordering:
 // shared < partial < separate, the gap widening with the query count; the
 // replicas/tuple metric shows separate copying the stream once per query
 // while shared and partial ingest each tuple exactly once.

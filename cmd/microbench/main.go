@@ -540,7 +540,7 @@ func kernel(tuples int, seed int64, jsonOut bool) error {
 	if !jsonOut {
 		return nil
 	}
-	return mergeKernelJSON(map[string]any{
+	return mergeKernelJSON("BENCH_kernel.json", map[string]any{
 		"phase":             "this_pr",
 		"events_per_second": rate,
 		"allocs_per_firing": allocs,
@@ -548,13 +548,15 @@ func kernel(tuples int, seed int64, jsonOut bool) error {
 	})
 }
 
-// mergeKernelJSON updates BENCH_kernel.json in place: the file carries
-// the performance trajectory (baseline rows, go-test benchmark rows),
-// so only the tool's own current-measurement row is replaced — a
-// regeneration must never destroy the committed baseline record.
-func mergeKernelJSON(row map[string]any) error {
+// mergeKernelJSON updates the kernel figure file at path in place: the
+// file carries the performance trajectory (baseline rows, go-test
+// benchmark rows), so only the tool's own current-measurement row is
+// replaced — a regeneration must never destroy the committed baseline
+// record. The provenance stamp describes the current measurement, so it
+// is rewritten on every merge.
+func mergeKernelJSON(path string, row map[string]any) error {
 	doc := map[string]any{}
-	if data, err := os.ReadFile("BENCH_kernel.json"); err == nil {
+	if data, err := os.ReadFile(path); err == nil {
 		// A corrupt file starts the trajectory over rather than erroring.
 		_ = json.Unmarshal(data, &doc)
 	}
@@ -569,9 +571,10 @@ func mergeKernelJSON(row map[string]any) error {
 	}
 	doc["fig"] = "kernel"
 	doc["rows"] = append(rows, row)
+	doc["provenance"] = provenance.Capture()
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		return err
 	}
-	return os.WriteFile("BENCH_kernel.json", append(data, '\n'), 0o644)
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

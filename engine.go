@@ -67,15 +67,16 @@ type QueryInfo struct {
 
 // Engine is a DataCell instance: a catalog of baskets and tables, a
 // Petri-net scheduler of factories, and the stream periphery. Queries are
-// registered with Exec/RegisterQuery; streams are fed with Append or TCP
-// receptors; results are consumed with Subscribe or TCP emitters.
+// registered with Exec/RegisterQuery; streams are fed with Append or
+// ListenIngest receptors; results are consumed with SubscribeQuery or TCP
+// emitters.
 //
 // Multi-query processing is organised per stream by query groups: every
 // continuous query consuming exactly one stream compiles to a reusable
 // stream-scan artifact, and the group wires all of a stream's artifacts
 // under the engine's strategy — separate private baskets (Figure 2a, the
 // default), one shared basket (Figure 2b) or a partial-delete chain
-// (Figure 2c). The strategy is selected with SetStrategy or the pragma
+// (Figure 2c). The strategy is selected with WithStrategy or the pragma
 // `set strategy = '…'` and groups rewire live when queries come and go.
 // Queries consuming several streams keep a private replica per stream.
 type Engine struct {
@@ -100,7 +101,7 @@ type Engine struct {
 	// for Snapshot (nil until a recovery has run).
 	lastRecovery *RecoveryInfo
 
-	// wal is the engine's write-ahead logging state (nil until OpenWAL):
+	// wal is the engine's write-ahead logging state (nil without WithWAL):
 	// per-stream logs that receptor deliveries tee into and Recover
 	// replays from.
 	wal *walState
@@ -166,8 +167,9 @@ func (r *queryRec) factories() []*core.Factory {
 
 // New returns an empty engine using the separate-baskets strategy at
 // parallelism 1, then applies the given Options in order. Options route
-// through the same internal setters as the Set* methods and SQL pragmas,
-// so New(WithStrategy(s)) and New() + SetStrategy(s) are interchangeable.
+// through the same internal setters as the SQL pragmas, so
+// New(WithStrategy(s)) and New() + `set strategy = 's'` are
+// interchangeable.
 // A failing option is recorded rather than returned (keeping the
 // historical single-value signature); Err reports it and Start refuses to
 // run a misconstructed engine.
@@ -199,16 +201,9 @@ func (e *Engine) Err() error {
 	return e.initErr
 }
 
-// SetClock replaces the engine clock (now(), arrival timestamps). Intended
-// for simulated-time benchmark runs and deterministic tests.
-func (e *Engine) SetClock(now func() time.Time) { e.cat.SetClock(now) }
-
 // Catalog exposes the underlying catalog for advanced wiring (benchmark
 // harnesses, custom factories).
 func (e *Engine) Catalog() *plan.Catalog { return e.cat }
-
-// Scheduler exposes the underlying scheduler for advanced wiring.
-func (e *Engine) Scheduler() *core.Scheduler { return e.sch }
 
 // Exec parses and executes a script of semicolon-separated statements.
 // DDL, declares, sets and one-time inserts take effect immediately;
@@ -235,7 +230,7 @@ func (e *Engine) Exec(src string) ([]QueryInfo, error) {
 }
 
 // RegisterQuery registers a single (usually continuous) statement under an
-// explicit name. The name identifies the query for Subscribe and Out.
+// explicit name. The name identifies the query for SubscribeQuery and Out.
 func (e *Engine) RegisterQuery(name, src string) error {
 	s, err := sql.ParseOne(src)
 	if err != nil {
@@ -305,7 +300,7 @@ func (e *Engine) execStrategyPragma(set *sql.SetStmt) error {
 	if err != nil {
 		return err
 	}
-	return e.SetStrategy(s)
+	return e.setStrategy(s)
 }
 
 // execParallelismPragma applies `set parallelism = N | auto [on stream]`
@@ -330,19 +325,19 @@ func (e *Engine) execParallelismPragma(set *sql.SetStmt) error {
 	switch {
 	case isInt:
 		if set.On != "" {
-			return e.SetStreamParallelism(set.On, n)
+			return e.setStreamParallelism(set.On, n)
 		}
-		return e.SetParallelism(n)
+		return e.setParallelism(n)
 	case word == "auto":
 		if set.On != "" {
-			return e.SetStreamParallelismAuto(set.On)
+			return e.setStreamParallelismAuto(set.On)
 		}
-		return e.SetParallelismAuto()
+		return e.setParallelismAuto()
 	case word == "default":
 		if set.On == "" {
 			return fmt.Errorf("datacell: set parallelism = default needs 'on <stream>' (it clears a per-stream override)")
 		}
-		return e.ClearStreamParallelism(set.On)
+		return e.clearStreamParallelism(set.On)
 	}
 	return fmt.Errorf("datacell: set parallelism expects an integer literal, 'auto' or 'default'")
 }
@@ -706,20 +701,14 @@ type QueryStats struct {
 	LatMax   time.Duration
 }
 
-// Stats returns activity counters for every registered continuous query,
-// sorted by name. Fires/Errors sum over the query's current factories
-// (partition clones under partitioned wiring); a group rewire (strategy or
-// parallelism switch, membership change) starts fresh factories, so those
-// counters restart while OutRows keeps accumulating.
-func (e *Engine) Stats() []QueryStats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.statsLocked()
-}
-
-// statsLocked computes per-query activity counters. Caller holds e.mu
-// (factory pointers must be read under it: group rewires replace a
-// member's factories concurrently; basket locks nest under e.mu).
+// statsLocked computes activity counters for every registered continuous
+// query, sorted by name (Snapshot.Queries). Fires/Errors sum over the
+// query's current factories (partition clones under partitioned wiring);
+// a group rewire (strategy or parallelism switch, membership change)
+// starts fresh factories, so those counters restart while OutRows keeps
+// accumulating. Caller holds e.mu (factory pointers must be read under
+// it: group rewires replace a member's factories concurrently; basket
+// locks nest under e.mu).
 func (e *Engine) statsLocked() []QueryStats {
 	out := make([]QueryStats, 0, len(e.queries))
 	for n, r := range e.queries {
@@ -904,18 +893,10 @@ type IngestOptions struct {
 	// LowWater is the occupancy below which a stalled receptor resumes
 	// (default HighWater/2).
 	LowWater int
-	// SplitterPath forces deliveries through the stream basket and the
-	// splitter transition even when the stream's wiring is partitioned —
-	// the legacy ingest path, kept as an escape hatch and as the baseline
-	// of differential tests.
-	SplitterPath bool
 	// IdleTimeout closes a connection whose client sends nothing for this
 	// long, so a dead sender stops pinning a shard goroutine. 0 disables
 	// the deadline (the default).
 	IdleTimeout time.Duration
-	// NoWAL exempts this listener from the engine's write-ahead log even
-	// when OpenWAL is active (e.g. a throwaway diagnostic tap).
-	NoWAL bool
 }
 
 // IngestStats is one receptor shard's activity snapshot.
@@ -953,9 +934,7 @@ func (l *IngestListener) Addrs() []string { return l.g.Addrs() }
 // Addr returns the first shard's bound address.
 func (l *IngestListener) Addr() string { return l.g.Addrs()[0] }
 
-// Path describes where this listener's batches currently land. A
-// SplitterPath listener reports the stream basket even when the
-// group-routed listeners deliver straight to partitions.
+// Path describes where this listener's batches currently land.
 func (l *IngestListener) Path() string { return l.tgt.Peek().Describe() }
 
 // Stats snapshots every shard's ingest counters.
@@ -984,7 +963,7 @@ func (l *IngestListener) Stats() []IngestStats {
 }
 
 // Close stops the listener's shards and connections and detaches it
-// from the stream's group, so Groups()/Explain stop reporting it.
+// from the stream's group, so Snapshot/Explain stop reporting it.
 // Idempotent.
 func (l *IngestListener) Close() {
 	l.eng.mu.Lock()
@@ -1020,13 +999,10 @@ func (e *Engine) ListenIngest(streamName, addr string, o IngestOptions) (*Ingest
 		return nil, err
 	}
 	tgt := g.target()
-	if o.SplitterPath {
-		tgt = ingest.NewSwitchTarget(ingest.BasketSink(b))
-	}
 	// Write-ahead tee: when the engine has a WAL open, every accepted
 	// batch is logged to the stream's log before it is routed.
 	var blog ingest.BatchLog
-	if e.wal != nil && !o.NoWAL {
+	if e.wal != nil {
 		lg, _, werr := e.walLogForLocked(streamName)
 		if werr != nil {
 			e.mu.Unlock()
@@ -1052,18 +1028,6 @@ func (e *Engine) ListenIngest(streamName, addr string, o IngestOptions) (*Ingest
 	g.listeners = append(g.listeners, l)
 	e.mu.Unlock()
 	return l, nil
-}
-
-// ListenTCP attaches an ingest listener to a stream: every connection
-// received on the address streams tuples — binary frames or
-// pipe-separated lines, auto-detected — into the stream. It returns the
-// bound address. It is ListenIngest with a single shard.
-func (e *Engine) ListenTCP(streamName, addr string) (string, error) {
-	l, err := e.ListenIngest(streamName, addr, IngestOptions{})
-	if err != nil {
-		return "", err
-	}
-	return l.Addr(), nil
 }
 
 // ServeTCP attaches a TCP emitter to a continuous query's results. Every

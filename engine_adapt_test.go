@@ -43,16 +43,16 @@ func forceAutoP(t *testing.T, eng *Engine, stream string, p int) {
 // migrating across wirings of different width while results accumulate.
 func adaptiveWorkload(t *testing.T, strategy Strategy, auto bool, withNonPartitionable bool, seed int64) map[string][]string {
 	t.Helper()
-	eng := New()
-	if err := eng.SetStrategy(strategy); err != nil {
+	eng := New(WithStrategy(strategy))
+	if err := eng.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if auto {
-		if err := eng.SetParallelismAuto(); err != nil {
+		if _, err := eng.Exec(`set parallelism = auto`); err != nil {
 			t.Fatal(err)
 		}
 	} else {
-		if err := eng.SetParallelism(1); err != nil {
+		if _, err := eng.Exec(`set parallelism = 1`); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -147,25 +147,27 @@ func TestAdaptiveDifferential(t *testing.T) {
 // idle group scales back down to one partition — with GroupInfo
 // reporting the targets, the rewire count and the controller's reasons.
 func TestAdaptiveScaleUpAndDown(t *testing.T) {
-	eng := New()
-	eng.SetAdaptOptions(AdaptOptions{
+	eng := New(WithAdaptOptions(AdaptOptions{
 		HighWater:      64,
 		LowWater:       8,
 		Patience:       2,
 		Cooldown:       time.Millisecond,
 		MaxParallelism: 4,
-	})
+	}))
+	if err := eng.Err(); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := eng.Exec(`create basket s (k int, v int)`); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.RegisterQueries(adaptiveQueries); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.SetParallelismAuto(); err != nil {
+	if _, err := eng.Exec(`set parallelism = auto`); err != nil {
 		t.Fatal(err)
 	}
 	info := func() GroupInfo {
-		for _, g := range eng.Groups() {
+		for _, g := range eng.Snapshot().Groups {
 			if g.Stream == "s" {
 				return g
 			}
@@ -249,25 +251,27 @@ func TestAdaptiveScaleUpAndDown(t *testing.T) {
 // impatient controller (Patience=1) and asserts the cooldown keeps the
 // group from rewiring on every swing.
 func TestAdaptiveCooldownBoundsThrash(t *testing.T) {
-	eng := New()
-	eng.SetAdaptOptions(AdaptOptions{
+	eng := New(WithAdaptOptions(AdaptOptions{
 		HighWater:      64,
 		LowWater:       8,
 		Patience:       1,
 		Cooldown:       time.Hour,
 		MaxParallelism: 4,
-	})
+	}))
+	if err := eng.Err(); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := eng.Exec(`create basket s (k int, v int)`); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.RegisterQueries(adaptiveQueries); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.SetParallelismAuto(); err != nil {
+	if _, err := eng.Exec(`set parallelism = auto`); err != nil {
 		t.Fatal(err)
 	}
 	base := int64(0)
-	for _, g := range eng.Groups() {
+	for _, g := range eng.Snapshot().Groups {
 		if g.Stream == "s" {
 			base = g.Rewires
 		}
@@ -292,7 +296,7 @@ func TestAdaptiveCooldownBoundsThrash(t *testing.T) {
 		eng.adaptTick(now)
 	}
 	var rewires int64
-	for _, g := range eng.Groups() {
+	for _, g := range eng.Snapshot().Groups {
 		if g.Stream == "s" {
 			rewires = g.Rewires - base
 		}
@@ -312,17 +316,16 @@ func TestAdaptiveCooldownBoundsThrash(t *testing.T) {
 func TestAdaptiveLiveUnderLoad(t *testing.T) {
 	want := adaptiveWorkload(t, StrategySeparate, false, false, 7)
 
-	eng := New()
-	defer eng.Stop()
-	eng.SetAdaptOptions(AdaptOptions{
+	eng := New(WithAdaptOptions(AdaptOptions{
 		Tick:           2 * time.Millisecond,
 		HighWater:      32,
 		LowWater:       4,
 		Patience:       1,
 		Cooldown:       4 * time.Millisecond,
 		MaxParallelism: 4,
-	})
-	if err := eng.SetParallelismAuto(); err != nil {
+	}))
+	defer eng.Stop()
+	if _, err := eng.Exec(`set parallelism = auto`); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.Exec(`create basket s (k int, v int)`); err != nil {
@@ -394,14 +397,14 @@ func TestParallelismPragmas(t *testing.T) {
 	if _, err := eng.Exec(`set parallelism = auto`); err != nil {
 		t.Fatal(err)
 	}
-	if !eng.ParallelismAuto() {
+	if !eng.Snapshot().AutoParallelism {
 		t.Fatal("`set parallelism = auto` did not enable the controller")
 	}
 	if _, err := eng.Exec(`set parallelism = 3 on s`); err != nil {
 		t.Fatal(err)
 	}
 	gi := func() GroupInfo {
-		for _, g := range eng.Groups() {
+		for _, g := range eng.Snapshot().Groups {
 			if g.Stream == "s" {
 				return g
 			}
@@ -427,7 +430,7 @@ func TestParallelismPragmas(t *testing.T) {
 	if _, err := eng.Exec(`set parallelism = 2`); err != nil {
 		t.Fatal(err)
 	}
-	if eng.ParallelismAuto() {
+	if eng.Snapshot().AutoParallelism {
 		t.Fatal("`set parallelism = 2` should switch the engine back to static")
 	}
 	if g := gi(); g.AutoParallelism || g.CurrentP != 2 {
@@ -485,10 +488,10 @@ func TestExplainAdaptive(t *testing.T) {
 func TestSeparateRouteAtIngestActive(t *testing.T) {
 	eng := New()
 	defer eng.Stop()
-	if err := eng.SetStrategy(StrategySeparate); err != nil {
+	if _, err := eng.Exec(`set strategy = 'separate'`); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.SetParallelism(4); err != nil {
+	if _, err := eng.Exec(`set parallelism = 4`); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.Exec(`create basket s (k int, v int)`); err != nil {
@@ -505,7 +508,7 @@ func TestSeparateRouteAtIngestActive(t *testing.T) {
 		t.Fatal(err)
 	}
 	var found bool
-	for _, g := range eng.Groups() {
+	for _, g := range eng.Snapshot().Groups {
 		if g.Stream == "s" {
 			found = true
 			if !strings.HasPrefix(g.IngestPath, "route-at-ingest") {

@@ -20,11 +20,8 @@ import (
 // partition split).
 func aggWorkload(t *testing.T, strategy Strategy, parallelism int, seed int64) map[string][]string {
 	t.Helper()
-	eng := New()
-	if err := eng.SetStrategy(strategy); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.SetParallelism(parallelism); err != nil {
+	eng := New(WithStrategy(strategy), WithParallelism(parallelism))
+	if err := eng.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.Exec(`create basket s (k int, v int, u int)`); err != nil {
@@ -116,11 +113,8 @@ func TestAggregationDifferential(t *testing.T) {
 // necessary condition divert before any partial-aggregate clone copies
 // them, the counter surfaces in Groups, and the aggregate stays exact.
 func TestHashPruneRouting(t *testing.T) {
-	eng := New()
-	if err := eng.SetStrategy(StrategySeparate); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.SetParallelism(4); err != nil {
+	eng := New(WithStrategy(StrategySeparate), WithParallelism(4))
+	if err := eng.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.Exec(`create basket s (k int, v int)`); err != nil {
@@ -145,7 +139,7 @@ func TestHashPruneRouting(t *testing.T) {
 	if err := eng.RunSync(); err != nil {
 		t.Fatal(err)
 	}
-	gs := eng.Groups()
+	gs := eng.Snapshot().Groups
 	if len(gs) != 1 {
 		t.Fatalf("groups: %+v", gs)
 	}
@@ -177,8 +171,8 @@ func TestHashPruneRouting(t *testing.T) {
 // partial/combine split, the combining merge emitter in the wiring line,
 // and the prune column of a hash-pruned verdict.
 func TestExplainTwoPhase(t *testing.T) {
-	eng := New()
-	if err := eng.SetParallelism(4); err != nil {
+	eng := New(WithParallelism(4))
+	if err := eng.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.Exec(`create basket s (k int, v int)`); err != nil {
@@ -255,8 +249,8 @@ func lroadBatches() [][]Row {
 // Returns each query's output as a sorted row multiset.
 func lroadWorkload(t *testing.T, parallelism int, batches [][]Row) map[string][]string {
 	t.Helper()
-	eng := New()
-	if err := eng.SetParallelism(parallelism); err != nil {
+	eng := New(WithParallelism(parallelism))
+	if err := eng.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.Exec(`create basket pos (typ int, time int, vid int, spd int, xway int, lane int, dir int, seg int, pos int, qid int, day int)`); err != nil {

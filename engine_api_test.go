@@ -31,11 +31,20 @@ func sortedRelRows(rel *bat.Relation) []string {
 }
 
 // apiEngineVia builds the walQueries workload engine through one of the
-// three equivalent configuration surfaces: functional options at New,
-// imperative Set* calls, or SQL pragmas. The differential tests below pin
-// that the choice of surface never changes a byte of query output.
+// equivalent configuration paths: functional options at New, SQL pragmas
+// before the workload is registered, or SQL pragmas after it (a live
+// rewire of the registered groups). The differential tests below pin that
+// the choice of path never changes a byte of query output.
 func apiEngineVia(t *testing.T, how string, s Strategy, p int) *Engine {
 	t.Helper()
+	pragmas := func(eng *Engine) {
+		if _, err := eng.Exec(fmt.Sprintf(`set strategy = '%s'`, s)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Exec(fmt.Sprintf(`set parallelism = %d`, p)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	var eng *Engine
 	switch how {
 	case "options":
@@ -43,24 +52,13 @@ func apiEngineVia(t *testing.T, how string, s Strategy, p int) *Engine {
 		if err := eng.Err(); err != nil {
 			t.Fatal(err)
 		}
-	case "setters":
+	case "pragmas", "pragmas-after-ddl":
 		eng = New()
-		if err := eng.SetStrategy(s); err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.SetParallelism(p); err != nil {
-			t.Fatal(err)
-		}
-	case "pragmas":
-		eng = New()
-		if _, err := eng.Exec(fmt.Sprintf(`set strategy = '%s'`, s)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := eng.Exec(fmt.Sprintf(`set parallelism = %d`, p)); err != nil {
-			t.Fatal(err)
-		}
 	default:
 		t.Fatalf("unknown surface %q", how)
+	}
+	if how == "pragmas" {
+		pragmas(eng)
 	}
 	if _, err := eng.Exec(`create basket s (k int, v int)`); err != nil {
 		t.Fatal(err)
@@ -71,20 +69,24 @@ func apiEngineVia(t *testing.T, how string, s Strategy, p int) *Engine {
 	if err := eng.RegisterQueries(walQueries); err != nil {
 		t.Fatal(err)
 	}
+	if how == "pragmas-after-ddl" {
+		pragmas(eng)
+	}
 	return eng
 }
 
 // TestOptionsSettersPragmasEquivalent is the API-redesign acceptance
 // differential: for every strategy × parallelism, an engine configured
-// with functional options, one configured with Set* calls and one
-// configured with SQL pragmas produce byte-identical sorted outputs on
-// the full mixed workload (slices, windows, grouped aggregates, top-N).
+// with functional options and engines configured with SQL pragmas before
+// and after registering the workload produce byte-identical sorted
+// outputs on the full mixed workload (slices, windows, grouped
+// aggregates, top-N).
 func TestOptionsSettersPragmasEquivalent(t *testing.T) {
 	for _, s := range []Strategy{StrategySeparate, StrategyShared, StrategyPartial} {
 		for _, p := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/p%d", s, p), func(t *testing.T) {
 				var ref map[string][]string
-				for _, how := range []string{"options", "setters", "pragmas"} {
+				for _, how := range []string{"options", "pragmas", "pragmas-after-ddl"} {
 					eng := apiEngineVia(t, how, s, p)
 					if err := eng.Append("s", walSRows()...); err != nil {
 						t.Fatal(err)
@@ -146,13 +148,14 @@ func apiWALFeed(t *testing.T, eng *Engine, dir string, n int) {
 }
 
 // TestOptionsWALEquivalence runs the crash-and-recover cycle twice — once
-// on an engine whose WAL came from New(WithWAL(dir)), once from an
-// explicit OpenWAL call — and requires the recovered query outputs to be
-// byte-identical to each other and to an undisturbed in-memory reference.
+// on an engine configured entirely with options, once on one whose
+// strategy and parallelism came from pragmas — and requires the recovered
+// query outputs to be byte-identical to each other and to an undisturbed
+// in-memory reference.
 func TestOptionsWALEquivalence(t *testing.T) {
 	const n = 300
 	outputs := map[string]map[string][]string{}
-	for _, how := range []string{"options", "setters"} {
+	for _, how := range []string{"options", "pragmas"} {
 		dir := t.TempDir()
 		var eng *Engine
 		// SyncBytes 1 makes every frame durable before Kill — the test
@@ -164,14 +167,11 @@ func TestOptionsWALEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 		} else {
-			eng = New()
-			if err := eng.SetStrategy(StrategyShared); err != nil {
+			eng = New(WithWALOptions(WALOptions{Dir: dir, SyncBytes: 1}))
+			if _, err := eng.Exec(`set strategy = 'shared'`); err != nil {
 				t.Fatal(err)
 			}
-			if err := eng.SetParallelism(2); err != nil {
-				t.Fatal(err)
-			}
-			if err := eng.OpenWAL(WALOptions{Dir: dir, SyncBytes: 1}); err != nil {
+			if _, err := eng.Exec(`set parallelism = 2`); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -187,14 +187,11 @@ func TestOptionsWALEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 		} else {
-			eng2 = New()
-			if err := eng2.SetStrategy(StrategyShared); err != nil {
+			eng2 = New(WithWALOptions(WALOptions{Dir: dir}))
+			if _, err := eng2.Exec(`set strategy = 'shared'`); err != nil {
 				t.Fatal(err)
 			}
-			if err := eng2.SetParallelism(2); err != nil {
-				t.Fatal(err)
-			}
-			if err := eng2.OpenWAL(WALOptions{Dir: dir}); err != nil {
+			if _, err := eng2.Exec(`set parallelism = 2`); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -262,15 +259,15 @@ func TestOptionsWALEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := sortedRelRows(out.Snapshot())
-		for _, how := range []string{"options", "setters"} {
+		for _, how := range []string{"options", "pragmas"} {
 			if !reflect.DeepEqual(outputs[how][q], want) {
 				t.Errorf("%s %s: recovered output diverged from reference (%d vs %d rows)",
 					how, q, len(outputs[how][q]), len(want))
 			}
 		}
 	}
-	if !reflect.DeepEqual(outputs["options"], outputs["setters"]) {
-		t.Error("WithWAL and OpenWAL recoveries diverged")
+	if !reflect.DeepEqual(outputs["options"], outputs["pragmas"]) {
+		t.Error("options-built and pragma-configured recoveries diverged")
 	}
 }
 
@@ -478,11 +475,11 @@ func TestSubscriptionCancelRace(t *testing.T) {
 				return
 			default:
 			}
-			if err := eng.SetParallelism(ps[i%len(ps)]); err != nil {
+			if _, err := eng.Exec(fmt.Sprintf("set parallelism = %d", ps[i%len(ps)])); err != nil {
 				t.Error(err)
 				return
 			}
-			if err := eng.SetStrategy(ss[i%len(ss)]); err != nil {
+			if _, err := eng.Exec(fmt.Sprintf("set strategy = '%s'", ss[i%len(ss)])); err != nil {
 				t.Error(err)
 				return
 			}
@@ -539,50 +536,6 @@ func TestSubscriptionCancelRace(t *testing.T) {
 		if count > at+2 {
 			t.Errorf("sub %d: %d deliveries after Cancel (count %d, at cancel %d)", i, count-at, count, at)
 		}
-	}
-}
-
-// TestDeprecatedSubscribeCompat keeps the old Subscribe seam pinned: it
-// must keep compiling and delivering Tables until the seam is dropped.
-func TestDeprecatedSubscribeCompat(t *testing.T) {
-	eng := New()
-	if _, err := eng.Exec(`create basket s (v int)`); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.RegisterQuery("q", `select * from [select * from s] t`); err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	rows := 0
-	//lint:ignore SA1019 the deprecated adapter is the unit under test
-	if err := eng.Subscribe("q", func(tb Table) {
-		mu.Lock()
-		rows += tb.Len()
-		mu.Unlock()
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Stop()
-	if err := eng.Append("s", Row{1}, Row{2}); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		mu.Lock()
-		n := rows
-		mu.Unlock()
-		if n >= 2 || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if rows != 2 {
-		t.Errorf("deprecated Subscribe delivered %d rows, want 2", rows)
 	}
 }
 

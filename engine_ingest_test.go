@@ -35,18 +35,12 @@ func ingestRows(n int, seed int64) [][2]int64 {
 	return rows
 }
 
-// ingestWorkload feeds rows over TCP — either k binary sharded
-// connections through the route-at-ingest path, or one textual
-// connection forced through the stream basket and splitter — and
-// returns each query's output as a sorted row multiset.
-func ingestWorkload(t *testing.T, strategy Strategy, parallelism int, rows [][2]int64, binary bool, shards int, splitterPath bool) map[string][]string {
+// ingestEngine builds the differential workload engine at the given
+// strategy and parallelism.
+func ingestEngine(t *testing.T, strategy Strategy, parallelism int) *Engine {
 	t.Helper()
-	eng := New()
-	defer eng.Stop()
-	if err := eng.SetStrategy(strategy); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.SetParallelism(parallelism); err != nil {
+	eng := New(WithStrategy(strategy), WithParallelism(parallelism))
+	if err := eng.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.Exec(`create basket s (k int, v int)`); err != nil {
@@ -55,10 +49,41 @@ func ingestWorkload(t *testing.T, strategy Strategy, parallelism int, rows [][2]
 	if err := eng.RegisterQueries(ingestQueries); err != nil {
 		t.Fatal(err)
 	}
+	return eng
+}
+
+// appendWorkload is the differential reference: the rows fed through
+// Engine.Append in 64-tuple batches, entering through the stream basket
+// and the splitter, and drained synchronously.
+func appendWorkload(t *testing.T, strategy Strategy, parallelism int, rows [][2]int64) map[string][]string {
+	t.Helper()
+	eng := ingestEngine(t, strategy, parallelism)
+	defer eng.Stop()
+	for lo := 0; lo < len(rows); lo += 64 {
+		batch := make([]Row, 0, 64)
+		for _, r := range rows[lo:min(lo+64, len(rows))] {
+			batch = append(batch, Row{r[0], r[1]})
+		}
+		if err := eng.Append("s", batch...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := eng.RunSync(); err != nil {
+		t.Fatal(err)
+	}
+	return ingestOutputs(t, eng)
+}
+
+// ingestWorkload feeds rows over TCP — k binary sharded connections or
+// one textual connection, both through the listener's route-at-ingest
+// path — and returns each query's output as a sorted row multiset.
+func ingestWorkload(t *testing.T, strategy Strategy, parallelism int, rows [][2]int64, binary bool, shards int) map[string][]string {
+	t.Helper()
+	eng := ingestEngine(t, strategy, parallelism)
+	defer eng.Stop()
 	l, err := eng.ListenIngest("s", "127.0.0.1:0", IngestOptions{
-		Shards:       shards,
-		BatchSize:    64,
-		SplitterPath: splitterPath,
+		Shards:    shards,
+		BatchSize: 64,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +129,13 @@ func ingestWorkload(t *testing.T, strategy Strategy, parallelism int, rows [][2]
 	if !eng.Drain(60 * time.Second) {
 		t.Fatal("engine did not drain")
 	}
+	return ingestOutputs(t, eng)
+}
 
+// ingestOutputs returns each differential query's output as a sorted row
+// multiset.
+func ingestOutputs(t *testing.T, eng *Engine) map[string][]string {
+	t.Helper()
 	got := map[string][]string{}
 	for _, q := range ingestQueries {
 		out, err := eng.Out(q.Name)
@@ -132,7 +163,7 @@ func waitIngested(t *testing.T, eng *Engine, stream string, n int64) {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
-		for _, g := range eng.Groups() {
+		for _, g := range eng.Snapshot().Groups {
 			if g.Stream == stream && g.IngestTuples >= n {
 				return
 			}
@@ -143,28 +174,36 @@ func waitIngested(t *testing.T, eng *Engine, stream string, n int64) {
 }
 
 // TestIngestDifferential is the acceptance differential: for every
-// strategy and P ∈ {1, 4}, N tuples over k binary sharded connections
-// yield byte-identical query results to the single textual receptor
-// forced through the stream basket and splitter — including range-routed
-// groups whose catch-all collects residuals.
+// strategy and P ∈ {1, 4}, N tuples over k binary sharded connections and
+// over one textual connection yield byte-identical query results to the
+// same tuples fed through Engine.Append, the stream basket and the
+// splitter — including range-routed groups whose catch-all collects
+// residuals.
 func TestIngestDifferential(t *testing.T) {
 	rows := ingestRows(4000, 7)
 	for _, strategy := range []Strategy{StrategySeparate, StrategyShared, StrategyPartial} {
 		for _, p := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s_P%d", strategy, p), func(t *testing.T) {
-				want := ingestWorkload(t, strategy, p, rows, false, 1, true)
-				got := ingestWorkload(t, strategy, p, rows, true, 4, false)
-				for name, w := range want {
-					g := got[name]
-					if len(w) == 0 {
-						t.Fatalf("%s produced no rows; differential is vacuous", name)
-					}
-					if len(g) != len(w) {
-						t.Fatalf("%s: binary sharded produced %d rows, textual splitter %d", name, len(g), len(w))
-					}
-					for i := range w {
-						if g[i] != w[i] {
-							t.Fatalf("%s: row %d differs: %q vs %q", name, i, g[i], w[i])
+				want := appendWorkload(t, strategy, p, rows)
+				legs := []struct {
+					name   string
+					binary bool
+					shards int
+				}{{"binary sharded", true, 4}, {"textual", false, 1}}
+				for _, leg := range legs {
+					got := ingestWorkload(t, strategy, p, rows, leg.binary, leg.shards)
+					for name, w := range want {
+						g := got[name]
+						if len(w) == 0 {
+							t.Fatalf("%s produced no rows; differential is vacuous", name)
+						}
+						if len(g) != len(w) {
+							t.Fatalf("%s: %s produced %d rows, Append reference %d", name, leg.name, len(g), len(w))
+						}
+						for i := range w {
+							if g[i] != w[i] {
+								t.Fatalf("%s: %s row %d differs: %q vs %q", name, leg.name, i, g[i], w[i])
+							}
 						}
 					}
 				}
@@ -180,10 +219,10 @@ func TestIngestDifferential(t *testing.T) {
 func TestIngestRouteAtIngestActive(t *testing.T) {
 	eng := New()
 	defer eng.Stop()
-	if err := eng.SetStrategy(StrategyShared); err != nil {
+	if _, err := eng.Exec(`set strategy = 'shared'`); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.SetParallelism(4); err != nil {
+	if _, err := eng.Exec(`set parallelism = 4`); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.Exec(`create basket s (k int, v int)`); err != nil {
@@ -197,7 +236,7 @@ func TestIngestRouteAtIngestActive(t *testing.T) {
 		t.Fatal(err)
 	}
 	var found bool
-	for _, g := range eng.Groups() {
+	for _, g := range eng.Snapshot().Groups {
 		if g.Stream == "s" {
 			found = true
 			if !strings.HasPrefix(g.IngestPath, "route-at-ingest") {
@@ -254,10 +293,10 @@ func TestIngestRouteAtIngestActive(t *testing.T) {
 func TestIngestBackpressureStalledFactory(t *testing.T) {
 	eng := New()
 	defer eng.Stop()
-	if err := eng.SetStrategy(StrategyShared); err != nil {
+	if _, err := eng.Exec(`set strategy = 'shared'`); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.SetParallelism(4); err != nil {
+	if _, err := eng.Exec(`set parallelism = 4`); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.Exec(`create basket s (k int, v int)`); err != nil {
@@ -295,7 +334,7 @@ func TestIngestBackpressureStalledFactory(t *testing.T) {
 	deadline := time.Now().Add(30 * time.Second)
 	stalled := false
 	for time.Now().Before(deadline) && !stalled {
-		for _, g := range eng.Groups() {
+		for _, g := range eng.Snapshot().Groups {
 			if g.Stream == "s" && g.IngestStalls > 0 {
 				stalled = true
 			}
@@ -348,10 +387,10 @@ func TestIngestBackpressureStalledFactory(t *testing.T) {
 func TestIngestLiveReRoute(t *testing.T) {
 	eng := New()
 	defer eng.Stop()
-	if err := eng.SetStrategy(StrategyShared); err != nil {
+	if _, err := eng.Exec(`set strategy = 'shared'`); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.SetParallelism(4); err != nil {
+	if _, err := eng.Exec(`set parallelism = 4`); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.Exec(`create basket s (k int, v int)`); err != nil {
@@ -397,11 +436,11 @@ func TestIngestLiveReRoute(t *testing.T) {
 	// Rewire storm while the feed runs.
 	for i := 0; i < 6; i++ {
 		time.Sleep(5 * time.Millisecond)
-		if err := eng.SetParallelism(1 + i%4); err != nil {
+		if _, err := eng.Exec(fmt.Sprintf("set parallelism = %d", 1+i%4)); err != nil {
 			t.Fatal(err)
 		}
 		st := []Strategy{StrategyShared, StrategySeparate, StrategyPartial}[i%3]
-		if err := eng.SetStrategy(st); err != nil {
+		if _, err := eng.Exec(fmt.Sprintf("set strategy = '%s'", st)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -419,10 +458,10 @@ func TestIngestLiveReRoute(t *testing.T) {
 	}
 }
 
-// TestListenTCPSpeaksBothProtocols pins backwards compatibility: the
-// engine's plain ListenTCP accepts the old textual protocol and the new
-// binary frames on the same socket.
-func TestListenTCPSpeaksBothProtocols(t *testing.T) {
+// TestListenIngestSpeaksBothProtocols pins that a single-shard
+// ListenIngest socket accepts the textual protocol and binary frames on
+// the same socket.
+func TestListenIngestSpeaksBothProtocols(t *testing.T) {
 	eng := New()
 	defer eng.Stop()
 	if _, err := eng.Exec(`create basket s (k int, v int)`); err != nil {
@@ -431,10 +470,11 @@ func TestListenTCPSpeaksBothProtocols(t *testing.T) {
 	if err := eng.RegisterQuery("q", `select t.v from [select * from s] t`); err != nil {
 		t.Fatal(err)
 	}
-	addr, err := eng.ListenTCP("s", "127.0.0.1:0")
+	l, err := eng.ListenIngest("s", "127.0.0.1:0", IngestOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	addr := l.Addr()
 	if err := eng.Start(); err != nil {
 		t.Fatal(err)
 	}

@@ -20,11 +20,8 @@ import (
 // omitted there.
 func parallelWorkload(t *testing.T, strategy Strategy, parallelism int, withNonPartitionable bool, seed int64) map[string][]string {
 	t.Helper()
-	eng := New()
-	if err := eng.SetStrategy(strategy); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.SetParallelism(parallelism); err != nil {
+	eng := New(WithStrategy(strategy), WithParallelism(parallelism))
+	if err := eng.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.Exec(`create basket s (k int, v int)`); err != nil {
@@ -112,8 +109,8 @@ func TestParallelDifferential(t *testing.T) {
 // P=4 with partitionable members reports 4 partitions, and a
 // non-partitionable member pins a shared group back to 1.
 func TestParallelismAcrossGroupWiring(t *testing.T) {
-	eng := New()
-	if err := eng.SetStrategy(StrategyShared); err != nil {
+	eng := New(WithStrategy(StrategyShared))
+	if err := eng.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.Exec(`create basket s (k int, v int)`); err != nil {
@@ -122,10 +119,10 @@ func TestParallelismAcrossGroupWiring(t *testing.T) {
 	if err := eng.RegisterQuery("q0", `select t.v from [select * from s where v < 10] t`); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.SetParallelism(4); err != nil {
+	if _, err := eng.Exec(`set parallelism = 4`); err != nil {
 		t.Fatal(err)
 	}
-	gs := eng.Groups()
+	gs := eng.Snapshot().Groups
 	if len(gs) != 1 || gs[0].Partitions != 4 {
 		t.Fatalf("partitionable shared group: %+v", gs)
 	}
@@ -134,28 +131,28 @@ func TestParallelismAcrossGroupWiring(t *testing.T) {
 	if err := eng.RegisterQuery("np", `select t.v from [select top 5 * from s] t`); err != nil {
 		t.Fatal(err)
 	}
-	gs = eng.Groups()
+	gs = eng.Snapshot().Groups
 	if len(gs) != 1 || gs[0].Partitions != 1 {
 		t.Fatalf("group with non-partitionable member should fall back to P=1: %+v", gs)
 	}
 	if err := eng.RemoveQuery("np"); err != nil {
 		t.Fatal(err)
 	}
-	gs = eng.Groups()
+	gs = eng.Snapshot().Groups
 	if len(gs) != 1 || gs[0].Partitions != 4 {
 		t.Fatalf("group should re-partition after removal: %+v", gs)
 	}
 }
 
-// TestParallelismPragma drives SetParallelism through the SQL pragma and
+// TestParallelismPragma drives the parallelism setter through the SQL pragma and
 // checks rejection of bad values.
 func TestParallelismPragma(t *testing.T) {
 	eng := New()
 	if _, err := eng.Exec(`set parallelism = 4`); err != nil {
 		t.Fatal(err)
 	}
-	if got := eng.Parallelism(); got != 4 {
-		t.Fatalf("Parallelism() = %d, want 4", got)
+	if got := eng.Snapshot().Parallelism; got != 4 {
+		t.Fatalf("Snapshot().Parallelism = %d, want 4", got)
 	}
 	if _, err := eng.Exec(`set parallelism = 0`); err == nil {
 		t.Fatal("set parallelism = 0 should be rejected")
@@ -163,8 +160,8 @@ func TestParallelismPragma(t *testing.T) {
 	if _, err := eng.Exec(`set parallelism = 'lots'`); err == nil {
 		t.Fatal("set parallelism = 'lots' should be rejected")
 	}
-	if err := eng.SetParallelism(-3); err == nil {
-		t.Fatal("SetParallelism(-3) should be rejected")
+	if err := New(WithParallelism(-3)).Err(); err == nil {
+		t.Fatal("WithParallelism(-3) should be rejected")
 	}
 }
 
@@ -174,7 +171,7 @@ func TestExplainShowsPartitioning(t *testing.T) {
 	if _, err := eng.Exec(`create basket s (k int, v int)`); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.SetParallelism(4); err != nil {
+	if _, err := eng.Exec(`set parallelism = 4`); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
@@ -197,7 +194,7 @@ func TestExplainShowsPartitioning(t *testing.T) {
 	// Under shared wiring an installed non-partitionable member pins the
 	// whole group; explain must describe the wiring the query would
 	// actually get, not its private verdict.
-	if err := eng.SetStrategy(StrategyShared); err != nil {
+	if _, err := eng.Exec(`set strategy = 'shared'`); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.RegisterQuery("np", `select t.v from [select top 5 * from s] t`); err != nil {
@@ -259,12 +256,12 @@ func TestParallelRegisterDeregisterRace(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i%2 == 0 {
-			if err := eng.SetParallelism(1 + i%4); err != nil {
+			if _, err := eng.Exec(fmt.Sprintf("set parallelism = %d", 1+i%4)); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if i%3 == 0 {
-			if err := eng.SetStrategy(strategies[(i/3)%len(strategies)]); err != nil {
+			if _, err := eng.Exec(fmt.Sprintf("set strategy = '%s'", strategies[(i/3)%len(strategies)])); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -23,10 +23,10 @@ func pruneWorkload(t *testing.T, strategy Strategy, parallelism int, seed int64)
 	t.Helper()
 	eng := New()
 	defer eng.Stop()
-	if err := eng.SetStrategy(strategy); err != nil {
+	if _, err := eng.Exec(fmt.Sprintf("set strategy = '%s'", strategy)); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.SetParallelism(parallelism); err != nil {
+	if _, err := eng.Exec(fmt.Sprintf("set parallelism = %d", parallelism)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.Exec(`create basket s (k int, v int)`); err != nil {
@@ -133,7 +133,7 @@ func TestPrunedRoutingDifferential(t *testing.T) {
 func TestCatchAllReceivesResiduals(t *testing.T) {
 	eng := New()
 	defer eng.Stop()
-	if err := eng.SetParallelism(4); err != nil {
+	if _, err := eng.Exec(`set parallelism = 4`); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.Exec(`create basket s (v int)`); err != nil {
@@ -159,7 +159,7 @@ func TestCatchAllReceivesResiduals(t *testing.T) {
 	if out.Len() != 100 {
 		t.Fatalf("query emitted %d rows, want 100", out.Len())
 	}
-	gs := eng.Groups()
+	gs := eng.Snapshot().Groups
 	if len(gs) != 1 {
 		t.Fatalf("groups = %+v", gs)
 	}
@@ -184,7 +184,7 @@ func TestCatchAllReceivesResiduals(t *testing.T) {
 func TestNonSargableStaysRoundRobin(t *testing.T) {
 	eng := New()
 	defer eng.Stop()
-	if err := eng.SetParallelism(4); err != nil {
+	if _, err := eng.Exec(`set parallelism = 4`); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.Exec(`create basket s (v int)`); err != nil {
@@ -203,7 +203,7 @@ func TestNonSargableStaysRoundRobin(t *testing.T) {
 	if err := eng.RunSync(); err != nil {
 		t.Fatal(err)
 	}
-	g := eng.Groups()[0]
+	g := eng.Snapshot().Groups[0]
 	if g.Routing != "round-robin" {
 		t.Fatalf("routing = %q, want round-robin", g.Routing)
 	}
@@ -226,10 +226,10 @@ func TestNonSargableStaysRoundRobin(t *testing.T) {
 func TestGroupRangeUnionUnderShared(t *testing.T) {
 	eng := New()
 	defer eng.Stop()
-	if err := eng.SetStrategy(StrategyShared); err != nil {
+	if _, err := eng.Exec(`set strategy = 'shared'`); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.SetParallelism(2); err != nil {
+	if _, err := eng.Exec(`set parallelism = 2`); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.Exec(`create basket s (v int)`); err != nil {
@@ -260,7 +260,7 @@ func TestGroupRangeUnionUnderShared(t *testing.T) {
 			t.Fatalf("%s emitted %d rows, want %d", name, out.Len(), want)
 		}
 	}
-	g := eng.Groups()[0]
+	g := eng.Snapshot().Groups[0]
 	if g.Routing != "range(v)" {
 		t.Fatalf("routing = %q, want range(v)", g.Routing)
 	}
@@ -277,10 +277,10 @@ func TestGroupRangeUnionUnderShared(t *testing.T) {
 func TestPruneRewireMigratesCatchAll(t *testing.T) {
 	eng := New()
 	defer eng.Stop()
-	if err := eng.SetStrategy(StrategyShared); err != nil {
+	if _, err := eng.Exec(`set strategy = 'shared'`); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.SetParallelism(4); err != nil {
+	if _, err := eng.Exec(`set parallelism = 4`); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.Exec(`create basket s (v int)`); err != nil {
@@ -299,7 +299,7 @@ func TestPruneRewireMigratesCatchAll(t *testing.T) {
 	if err := eng.RunSync(); err != nil {
 		t.Fatal(err)
 	}
-	if g := eng.Groups()[0]; g.Pruned != 100 {
+	if g := eng.Snapshot().Groups[0]; g.Pruned != 100 {
 		t.Fatalf("pruned = %d, want 100", g.Pruned)
 	}
 	// A new member that matches the parked residuals: the rewire must
@@ -339,11 +339,8 @@ func appendRange(t *testing.T, eng *Engine, lo, hi int64) {
 // strategy and parallelism.
 func newPruneEngine(t *testing.T, strategy Strategy, p int) *Engine {
 	t.Helper()
-	eng := New()
-	if err := eng.SetStrategy(strategy); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.SetParallelism(p); err != nil {
+	eng := New(WithStrategy(strategy), WithParallelism(p))
+	if err := eng.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.Exec(`create basket s (v int)`); err != nil {
@@ -387,7 +384,7 @@ func rewireRun(t *testing.T, strategy Strategy, ps [3]int) map[string][]string {
 		t.Fatal(err)
 	}
 	appendRange(t, eng, 0, 200)
-	if err := eng.SetParallelism(ps[1]); err != nil {
+	if _, err := eng.Exec(fmt.Sprintf("set parallelism = %d", ps[1])); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.RegisterQuery("all", `select t.v from [select * from s] t`); err != nil {
@@ -398,7 +395,7 @@ func rewireRun(t *testing.T, strategy Strategy, ps [3]int) map[string][]string {
 	if err := eng.RemoveQuery("all"); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.SetParallelism(ps[2]); err != nil {
+	if _, err := eng.Exec(fmt.Sprintf("set parallelism = %d", ps[2])); err != nil {
 		t.Fatal(err)
 	}
 	appendRange(t, eng, 0, 200)
@@ -478,10 +475,10 @@ func TestPrunedCountsBothModes(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				eng := New()
 				defer eng.Stop()
-				if err := eng.SetStrategy(StrategyShared); err != nil {
+				if _, err := eng.Exec(`set strategy = 'shared'`); err != nil {
 					t.Fatal(err)
 				}
-				if err := eng.SetParallelism(4); err != nil {
+				if _, err := eng.Exec(`set parallelism = 4`); err != nil {
 					t.Fatal(err)
 				}
 				if _, err := eng.Exec(`create basket s (k int, v int)`); err != nil {
@@ -522,7 +519,7 @@ func TestPrunedCountsBothModes(t *testing.T) {
 				if err := eng.RunSync(); err != nil {
 					t.Fatal(err)
 				}
-				g := eng.Groups()[0]
+				g := eng.Snapshot().Groups[0]
 				if g.Pruned != n-matching || g.RoutedParts != matching {
 					t.Fatalf("pruned/routed = %d/%d, want %d/%d", g.Pruned, g.RoutedParts, n-matching, matching)
 				}
@@ -546,7 +543,7 @@ func TestPrunedCountsBothModes(t *testing.T) {
 func TestExplainSaysDiscardOrPark(t *testing.T) {
 	eng := New()
 	defer eng.Stop()
-	if err := eng.SetParallelism(4); err != nil {
+	if _, err := eng.Exec(`set parallelism = 4`); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.Exec(`create basket s (k int, v int)`); err != nil {

@@ -19,7 +19,7 @@ func strategyWorkload(t *testing.T, strategy Strategy, nQueries, batches, perBat
 	if _, err := eng.Exec(`create basket s (v int, tag int)`); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.SetStrategy(strategy); err != nil {
+	if _, err := eng.Exec(fmt.Sprintf("set strategy = '%s'", strategy)); err != nil {
 		t.Fatal(err)
 	}
 	const width = 80
@@ -88,14 +88,14 @@ func TestEngineStrategyPragmaAndGroups(t *testing.T) {
 	if _, err := eng.Exec(`create basket s (v int)`); err != nil {
 		t.Fatal(err)
 	}
-	if eng.Strategy() != StrategySeparate {
-		t.Fatalf("default strategy = %s", eng.Strategy())
+	if eng.Snapshot().Strategy != StrategySeparate {
+		t.Fatalf("default strategy = %s", eng.Snapshot().Strategy)
 	}
 	if _, err := eng.Exec(`set strategy = 'shared'`); err != nil {
 		t.Fatal(err)
 	}
-	if eng.Strategy() != StrategyShared {
-		t.Fatalf("strategy after pragma = %s", eng.Strategy())
+	if eng.Snapshot().Strategy != StrategyShared {
+		t.Fatalf("strategy after pragma = %s", eng.Snapshot().Strategy)
 	}
 	if _, err := eng.Exec(`set strategy = 'bogus'`); err == nil {
 		t.Error("bogus strategy accepted")
@@ -118,7 +118,7 @@ func TestEngineStrategyPragmaAndGroups(t *testing.T) {
 	if err := eng.RunSync(); err != nil {
 		t.Fatal(err)
 	}
-	gs := eng.Groups()
+	gs := eng.Snapshot().Groups
 	if len(gs) != 1 || gs[0].Stream != "s" {
 		t.Fatalf("groups: %+v", gs)
 	}
@@ -133,7 +133,7 @@ func TestEngineStrategyPragmaAndGroups(t *testing.T) {
 	}
 	// Live switch to separate: the groups rewire and new tuples are
 	// replicated once per query.
-	if err := eng.SetStrategy(StrategySeparate); err != nil {
+	if _, err := eng.Exec(`set strategy = 'separate'`); err != nil {
 		t.Fatal(err)
 	}
 	for i := range rows {
@@ -145,7 +145,7 @@ func TestEngineStrategyPragmaAndGroups(t *testing.T) {
 	if err := eng.RunSync(); err != nil {
 		t.Fatal(err)
 	}
-	gs = eng.Groups()
+	gs = eng.Snapshot().Groups
 	if gs[0].Strategy != StrategySeparate {
 		t.Errorf("group strategy after switch: %+v", gs[0])
 	}
@@ -154,7 +154,7 @@ func TestEngineStrategyPragmaAndGroups(t *testing.T) {
 	}
 	// All 200 tuples were delivered exactly once overall.
 	totalOut := int64(0)
-	for _, st := range eng.Stats() {
+	for _, st := range eng.Snapshot().Queries {
 		totalOut += st.OutRows
 	}
 	if totalOut != 200 {
@@ -169,7 +169,7 @@ func TestEngineSharedDynamicWhileRunning(t *testing.T) {
 	if _, err := eng.Exec(`create basket s (v int)`); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.SetStrategy(StrategyShared); err != nil {
+	if _, err := eng.Exec(`set strategy = 'shared'`); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.RegisterQuery("evens", `select t.v from [select * from s where v < 50] t`); err != nil {
@@ -310,13 +310,13 @@ func TestEngineRegisterQueriesBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := int64(0)
-	for _, st := range eng.Stats() {
+	for _, st := range eng.Snapshot().Queries {
 		total += st.OutRows
 	}
 	if total != 100 {
 		t.Errorf("delivered %d results, want 100", total)
 	}
-	gs := eng.Groups()
+	gs := eng.Snapshot().Groups
 	if len(gs) != 1 || len(gs[0].Members) != 10 {
 		t.Fatalf("groups: %+v", gs)
 	}
@@ -416,7 +416,7 @@ func TestEngineStrategySwitchMidWorkloadNoLossNoDup(t *testing.T) {
 	tag := int64(0)
 	for b, strat := range []Strategy{StrategySeparate, StrategyShared, StrategyPartial, StrategySeparate} {
 		_ = b
-		if err := eng.SetStrategy(strat); err != nil {
+		if _, err := eng.Exec(fmt.Sprintf("set strategy = '%s'", strat)); err != nil {
 			t.Fatal(err)
 		}
 		rows := make([]Row, perBatch)

@@ -139,7 +139,7 @@ func TestEngineTCPRoundTrip(t *testing.T) {
 	if err := eng.RegisterQuery("all", `select * from [select * from s] t`); err != nil {
 		t.Fatal(err)
 	}
-	inAddr, err := eng.ListenTCP("s", "127.0.0.1:0")
+	in, err := eng.ListenIngest("s", "127.0.0.1:0", IngestOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestEngineTCPRoundTrip(t *testing.T) {
 	}
 	defer eng.Stop()
 
-	conn, err := dial(inAddr)
+	conn, err := dial(in.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,9 +216,8 @@ func TestEngineDynamicQueryAfterStart(t *testing.T) {
 }
 
 func TestEngineClockInjection(t *testing.T) {
-	eng := New()
 	fixed := time.Unix(1000, 0)
-	eng.SetClock(func() time.Time { return fixed })
+	eng := New(WithClock(func() time.Time { return fixed }))
 	if _, err := eng.Exec(`create basket s (v int)`); err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +276,7 @@ func TestEngineExplainAndStats(t *testing.T) {
 	if err := eng.RunSync(); err != nil {
 		t.Fatal(err)
 	}
-	stats := eng.Stats()
+	stats := eng.Snapshot().Queries
 	if len(stats) != 1 || stats[0].Name != "q" {
 		t.Fatalf("stats: %+v", stats)
 	}
@@ -340,7 +339,7 @@ func TestEngineRemoveQuery(t *testing.T) {
 	if dropOut.Len() != 0 {
 		t.Errorf("removed query still produced %d results", dropOut.Len())
 	}
-	if len(eng.Stats()) != 1 {
-		t.Errorf("stats still lists removed query: %+v", eng.Stats())
+	if qs := eng.Snapshot().Queries; len(qs) != 1 {
+		t.Errorf("stats still lists removed query: %+v", qs)
 	}
 }

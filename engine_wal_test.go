@@ -60,13 +60,10 @@ func walARows() []Row {
 	return rows
 }
 
-func buildWALEngine(t testing.TB, strategy Strategy, parallelism int) *Engine {
+func buildWALEngine(t testing.TB, strategy Strategy, parallelism int, opts ...Option) *Engine {
 	t.Helper()
-	eng := New()
-	if err := eng.SetStrategy(strategy); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.SetParallelism(parallelism); err != nil {
+	eng := New(append([]Option{WithStrategy(strategy), WithParallelism(parallelism)}, opts...)...)
+	if err := eng.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.Exec(`create basket s (k int, v int)`); err != nil {
@@ -249,10 +246,7 @@ func walCrashRun(t *testing.T, strategy Strategy, parallelism int, site string, 
 	defer faultpoint.Clear()
 	dir := t.TempDir()
 
-	eng := buildWALEngine(t, strategy, parallelism)
-	if err := eng.OpenWAL(WALOptions{Dir: dir}); err != nil {
-		t.Fatal(err)
-	}
+	eng := buildWALEngine(t, strategy, parallelism, WithWAL(dir))
 	ls, err := eng.ListenIngest("s", "127.0.0.1:0", IngestOptions{BatchSize: 16})
 	if err != nil {
 		t.Fatal(err)
@@ -269,11 +263,8 @@ func walCrashRun(t *testing.T, strategy Strategy, parallelism int, site string, 
 	durS := walDurableRows(t, filepath.Join(dir, "s"), walSTypes)
 	durA := walDurableRows(t, filepath.Join(dir, "a"), walATypes)
 
-	eng2 := buildWALEngine(t, strategy, parallelism)
+	eng2 := buildWALEngine(t, strategy, parallelism, WithWAL(dir))
 	defer eng2.Stop()
-	if err := eng2.OpenWAL(WALOptions{Dir: dir}); err != nil {
-		t.Fatal(err)
-	}
 	rec, err := eng2.Recover()
 	if err != nil {
 		t.Fatal(err)
@@ -353,10 +344,7 @@ func TestWALCrashRecoveryDifferential(t *testing.T) {
 // next start replays nothing.
 func TestWALCheckpointOnCleanStop(t *testing.T) {
 	dir := t.TempDir()
-	eng := buildWALEngine(t, StrategyShared, 2)
-	if err := eng.OpenWAL(WALOptions{Dir: dir}); err != nil {
-		t.Fatal(err)
-	}
+	eng := buildWALEngine(t, StrategyShared, 2, WithWAL(dir))
 	l, err := eng.ListenIngest("s", "127.0.0.1:0", IngestOptions{BatchSize: 16})
 	if err != nil {
 		t.Fatal(err)
@@ -391,11 +379,8 @@ func TestWALCheckpointOnCleanStop(t *testing.T) {
 	if info.Checkpoint != info.LastSeq {
 		t.Fatalf("checkpoint %d, want %d (clean stop must checkpoint the whole log)", info.Checkpoint, info.LastSeq)
 	}
-	eng2 := buildWALEngine(t, StrategyShared, 2)
+	eng2 := buildWALEngine(t, StrategyShared, 2, WithWAL(dir))
 	defer eng2.Stop()
-	if err := eng2.OpenWAL(WALOptions{Dir: dir}); err != nil {
-		t.Fatal(err)
-	}
 	rec, err := eng2.Recover()
 	if err != nil {
 		t.Fatal(err)
@@ -410,11 +395,8 @@ func TestWALCheckpointOnCleanStop(t *testing.T) {
 // the textual lines a stream.Replayer consumes.
 func TestWALHistoryLateJoin(t *testing.T) {
 	dir := t.TempDir()
-	eng := buildWALEngine(t, StrategyShared, 1)
+	eng := buildWALEngine(t, StrategyShared, 1, WithWAL(dir))
 	defer eng.Stop()
-	if err := eng.OpenWAL(WALOptions{Dir: dir}); err != nil {
-		t.Fatal(err)
-	}
 	l, err := eng.ListenIngest("s", "127.0.0.1:0", IngestOptions{BatchSize: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -472,10 +454,7 @@ func TestWALKill9Child(t *testing.T) {
 		t.Skip("helper for TestWALKill9Differential")
 	}
 	faultpoint.SetCrashFn(func() { os.Exit(137) })
-	eng := buildWALEngine(t, StrategyShared, 2)
-	if err := eng.OpenWAL(WALOptions{Dir: dir}); err != nil {
-		t.Fatal(err)
-	}
+	eng := buildWALEngine(t, StrategyShared, 2, WithWAL(dir))
 	l, err := eng.ListenIngest("s", "127.0.0.1:0", IngestOptions{BatchSize: 16})
 	if err != nil {
 		t.Fatal(err)
@@ -535,11 +514,8 @@ func TestWALKill9Differential(t *testing.T) {
 	}
 	want := collectWALOutputs(t, ref)
 
-	eng := buildWALEngine(t, StrategyShared, 2)
+	eng := buildWALEngine(t, StrategyShared, 2, WithWAL(dir))
 	defer eng.Stop()
-	if err := eng.OpenWAL(WALOptions{Dir: dir}); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := eng.Recover(); err != nil {
 		t.Fatal(err)
 	}

@@ -57,7 +57,7 @@ func main() {
 	}
 	fmt.Print("plan:\n" + plan)
 
-	inAddr, err := eng.ListenTCP("flows", "127.0.0.1:0")
+	in, err := eng.ListenIngest("flows", "127.0.0.1:0", datacell.IngestOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func main() {
 
 	// Probe process: streams flow records over TCP — binary frames by
 	// default, textual lines with -text.
-	probe, err := net.Dial("tcp", inAddr)
+	probe, err := net.Dial("tcp", in.Addr())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -31,8 +31,8 @@ type Fig5bResult struct {
 // drained synchronously. The same experiment hand-wired at the kernel
 // level lives in internal/microbench.RunStrategySweep.
 func RunFig5b(strategy Strategy, q, tuples int, seed int64) (Fig5bResult, error) {
-	eng := New()
-	if err := eng.SetStrategy(strategy); err != nil {
+	eng := New(WithStrategy(strategy))
+	if err := eng.Err(); err != nil {
 		return Fig5bResult{}, err
 	}
 	if _, err := eng.Exec(`create basket s (v int)`); err != nil {
@@ -81,7 +81,7 @@ func RunFig5b(strategy Strategy, q, tuples int, seed int64) (Fig5bResult, error)
 		}
 		res.Results += out.Len()
 	}
-	for _, g := range eng.Groups() {
+	for _, g := range eng.Snapshot().Groups {
 		res.ReplicaAppended += g.ReplicaAppended
 	}
 	return res, nil

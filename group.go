@@ -19,7 +19,7 @@ import (
 
 // Strategy selects the paper's multi-query processing scheme (§4.2,
 // Figures 2a–2c) used to wire all continuous queries that consume one
-// stream. It is set engine-wide with SetStrategy or the SQL pragma
+// stream. It is set engine-wide with WithStrategy or the SQL pragma
 // `set strategy = 'separate' | 'shared' | 'partial'`.
 type Strategy string
 
@@ -671,12 +671,12 @@ func (g *queryGroup) streamQueries() []core.StreamQuery {
 	return qs
 }
 
-// SetStrategy switches the engine's multi-query processing strategy and
-// rewires every stream's query group accordingly. It can be called while
-// the engine runs; tuples already replicated into private baskets under
-// the previous wiring are processed by their owners before the switch
-// takes effect for them.
-func (e *Engine) SetStrategy(s Strategy) error {
+// setStrategy switches the engine's multi-query processing strategy and
+// rewires every stream's query group accordingly (WithStrategy, `set
+// strategy = …`). It can run while the engine runs; tuples already
+// replicated into private baskets under the previous wiring are processed
+// by their owners before the switch takes effect for them.
+func (e *Engine) setStrategy(s Strategy) error {
 	s, err := ParseStrategy(string(s))
 	if err != nil {
 		return err
@@ -693,19 +693,13 @@ func (e *Engine) SetStrategy(s Strategy) error {
 	return e.rewireAllLocked()
 }
 
-// Strategy returns the engine's current multi-query processing strategy.
-func (e *Engine) Strategy() Strategy {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.strategy
-}
-
-// SetParallelism sets the number of stream partitions partitionable
-// continuous queries run over and rewires every stream's query group. It
-// can be called while the engine runs; in-flight tuples migrate to the new
-// wiring. P=1 restores the unpartitioned wiring; plans whose verdict is
-// not partitionable keep a single factory regardless of P.
-func (e *Engine) SetParallelism(p int) error {
+// setParallelism sets the number of stream partitions partitionable
+// continuous queries run over and rewires every stream's query group
+// (WithParallelism, `set parallelism = N`). It can run while the engine
+// runs; in-flight tuples migrate to the new wiring. P=1 restores the
+// unpartitioned wiring; plans whose verdict is not partitionable keep a
+// single factory regardless of P.
+func (e *Engine) setParallelism(p int) error {
 	if p < 1 {
 		return fmt.Errorf("datacell: parallelism must be at least 1, got %d", p)
 	}
@@ -720,13 +714,6 @@ func (e *Engine) SetParallelism(p int) error {
 		g.pendingReason = fmt.Sprintf("parallelism pinned to %d", p)
 	}
 	return e.rewireAllLocked()
-}
-
-// Parallelism returns the engine's configured partition count.
-func (e *Engine) Parallelism() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.parallelism
 }
 
 // rewireAllLocked rebuilds every stream group's wiring under the current
@@ -777,9 +764,7 @@ type GroupInfo struct {
 	// IngestPath describes where group-routed receptor batches currently
 	// land: "stream basket" (splitter-fed) or "route-at-ingest …" when
 	// decoded batches skip the splitter and go straight to partition
-	// baskets. Empty when the stream has no ingest listeners. A listener
-	// pinned to the splitter path (IngestOptions.SplitterPath) reports
-	// its own path per shard in Receptors.
+	// baskets. Empty when the stream has no ingest listeners.
 	IngestPath string
 	// Receptors reports every attached ingest shard's counters (conns,
 	// frames, tuples, stalls, stall time) and delivery path, listener by
@@ -816,15 +801,9 @@ type GroupInfo struct {
 	IngestStallTimeDelta time.Duration
 }
 
-// Groups reports the current multi-query wiring of every stream that has
-// at least one continuous consumer, sorted by stream name.
-func (e *Engine) Groups() []GroupInfo {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.groupsLocked()
-}
-
-// groupsLocked computes per-stream group wiring reports. Caller holds e.mu.
+// groupsLocked reports the current multi-query wiring of every stream that
+// has at least one continuous consumer or listener, sorted by stream name
+// (Snapshot.Groups). Caller holds e.mu.
 func (e *Engine) groupsLocked() []GroupInfo {
 	names := make([]string, 0, len(e.groups))
 	for n := range e.groups {

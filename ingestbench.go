@@ -43,12 +43,9 @@ func RunIngest(binary bool, shards, batch, tuples int) (IngestResult, error) {
 		shards = 1
 	}
 	res := IngestResult{Binary: binary, Shards: shards, Batch: batch, Tuples: tuples}
-	eng := New()
+	eng := New(WithStrategy(StrategyShared), WithParallelism(shards))
 	defer eng.Stop()
-	if err := eng.SetStrategy(StrategyShared); err != nil {
-		return res, err
-	}
-	if err := eng.SetParallelism(shards); err != nil {
+	if err := eng.Err(); err != nil {
 		return res, err
 	}
 	if _, err := eng.Exec(`create basket s (k int, v int)`); err != nil {

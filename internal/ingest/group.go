@@ -255,8 +255,7 @@ type Stats struct {
 // Group is the sharded ingest periphery of one stream: Shards listener
 // shards accepting connections whose tuple streams — binary frames or
 // textual lines, sniffed per connection — are decoded independently and
-// delivered through the group's Target. It replaces the single-socket,
-// text-only stream.TCPReceptor for engine streams.
+// delivered through the group's Target. It is the engine's one receptor.
 type Group struct {
 	stream string
 	names  []string

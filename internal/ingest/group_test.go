@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"fmt"
 	"net"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -128,6 +130,176 @@ func TestGroupTextualFallback(t *testing.T) {
 	if st.Tuples != 100 {
 		t.Fatalf("tuples = %d, want 100", st.Tuples)
 	}
+	// The decode batch is cleared and refilled across deliveries; every
+	// row must survive the reuse intact and in order.
+	rel := b.TakeAll()
+	for i := 0; i < rel.Len(); i++ {
+		if k, v := rel.Col(0).Ints()[i], rel.Col(1).Ints()[i]; k != int64(i) || v != int64(2*i) {
+			t.Fatalf("row %d corrupted across batch reuse: %d|%d", i, k, v)
+		}
+	}
+}
+
+// TestGroupTuplesCreditAcceptedOnBasketClose pins the exact Tuples
+// accounting: a tuple counts once the sink accepted it, so a delivery that
+// fails because the basket closed mid-stream credits nothing for the lost
+// batch, and the connection ends.
+func TestGroupTuplesCreditAcceptedOnBasketClose(t *testing.T) {
+	b := basket.New("s", testSchema.names, testSchema.types)
+	g := listenTest(t, b, Options{BatchSize: 4})
+	// Close the basket after the first delivery lands, so a later one
+	// fails with ErrClosed while tuples are still decoded.
+	firstAppend := make(chan struct{}, 1)
+	proceed := make(chan struct{})
+	var once sync.Once
+	b.SetOnAppend(func() {
+		once.Do(func() {
+			firstAppend <- struct{}{}
+			<-proceed
+		})
+	})
+	conn, err := net.Dial("tcp", g.Addrs()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var feed strings.Builder
+	for i := 0; i < 10; i++ {
+		fmt.Fprintf(&feed, "%d|%d\n", i, i)
+	}
+	if _, err := conn.Write([]byte(feed.String())); err != nil {
+		t.Fatal(err)
+	}
+	<-firstAppend
+	b.Close()
+	close(proceed)
+	waitFor(t, 5*time.Second, func() bool {
+		st := g.Stats()[0]
+		return st.Conns == 1 && st.Active == 0
+	}, "failed delivery to end the connection")
+
+	st := g.Stats()[0]
+	accepted := b.Stats().Appended
+	if accepted == 0 || accepted > 4 {
+		t.Fatalf("basket accepted %d tuples before closing, want 1..4 (one delivery)", accepted)
+	}
+	if st.Tuples != accepted {
+		t.Fatalf("tuples = %d after a failed delivery, want exactly the %d the basket accepted", st.Tuples, accepted)
+	}
+}
+
+// TestGroupTuplesCountSinkAccepted pins what Tuples counts when basket
+// integrity constraints drop tuples: the tuples the sink accepted.
+// Constraint drops show in the basket's Dropped counter and structural
+// rejects in Invalid; neither counts as delivered.
+func TestGroupTuplesCountSinkAccepted(t *testing.T) {
+	b := basket.New("s", testSchema.names, testSchema.types)
+	b.AddConstraint(basket.Constraint{
+		Name: "nonneg",
+		Check: func(rel *bat.Relation) []int32 {
+			var keep []int32
+			for i, v := range rel.ColByName("v").Ints() {
+				if v >= 0 {
+					keep = append(keep, int32(i))
+				}
+			}
+			return keep
+		},
+	})
+	g := listenTest(t, b, Options{BatchSize: 100})
+	conn, err := net.Dial("tcp", g.Addrs()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(conn, "1|1\n2|-2\n3|3\nbogus\n")
+	conn.Close()
+	waitFor(t, 5*time.Second, func() bool {
+		st := g.Stats()[0]
+		return st.Conns == 1 && st.Active == 0
+	}, "connection to finish")
+
+	st := g.Stats()[0]
+	if st.Tuples != 2 || st.Invalid != 1 {
+		t.Fatalf("tuples = %d, invalid = %d; want 2 accepted and 1 structural reject", st.Tuples, st.Invalid)
+	}
+	if bs := b.Stats(); b.Len() != 2 || bs.Dropped != 1 {
+		t.Fatalf("basket holds %d tuples with %d dropped, want 2 and 1", b.Len(), bs.Dropped)
+	}
+}
+
+// TestGroupCloseAcceptRace is the regression test for the accept/close
+// race: an accept that wins the race with the listener's close must not
+// join the wait group after Close started waiting (a WaitGroup misuse
+// panic), concurrent and repeated Close calls must all return — also with
+// an idle client holding its connection open — and once they have, no
+// shard goroutine of any group may remain. Run under -race in CI.
+func TestGroupCloseAcceptRace(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		b := basket.New("s", testSchema.names, testSchema.types)
+		g, err := Listen("s", "127.0.0.1:0", testSchema.names, testSchema.types,
+			NewSwitchTarget(BasketSink(b)), Options{Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs := g.Addrs()
+		idle, err := net.Dial("tcp", addrs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		stop := make(chan struct{})
+		// Dial storm: keep new connections racing against Close.
+		for d := 0; d < 4; d++ {
+			wg.Add(1)
+			go func(d int) {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					conn, err := net.Dial("tcp", addrs[d%len(addrs)])
+					if err != nil {
+						return
+					}
+					fmt.Fprintf(conn, "%d|%d\n", d, d)
+					conn.Close()
+				}
+			}(d)
+		}
+		// Concurrent double Close: both must return without panicking.
+		var cwg sync.WaitGroup
+		for c := 0; c < 2; c++ {
+			cwg.Add(1)
+			go func() {
+				defer cwg.Done()
+				g.Close()
+			}()
+		}
+		closed := make(chan struct{})
+		go func() {
+			cwg.Wait()
+			close(closed)
+		}()
+		select {
+		case <-closed:
+		case <-time.After(10 * time.Second):
+			t.Fatal("Close did not return")
+		}
+		g.Close() // and a third, after the drain
+		close(stop)
+		wg.Wait()
+		idle.Close()
+	}
+	// Close waits for every accept loop and decode loop; poll briefly for
+	// the goroutines to unwind past their final deferred calls.
+	waitFor(t, 5*time.Second, func() bool {
+		buf := make([]byte, 1<<20)
+		stacks := string(buf[:runtime.Stack(buf, true)])
+		return !strings.Contains(stacks, "ingest.(*Group).acceptLoop") &&
+			!strings.Contains(stacks, "ingest.(*Group).serveConn")
+	}, "every shard goroutine to exit after Close")
 }
 
 // TestGroupMixedProtocolsOneSocket pins the sniffing contract: binary and

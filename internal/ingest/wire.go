@@ -23,6 +23,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"datacell/internal/bat"
 	"datacell/internal/vector"
@@ -253,11 +254,8 @@ func (fr *FrameReader) DecodeFrameInto(rel *bat.Relation) (int, error) {
 	if plen < ncols+4 || plen > maxPayload {
 		return 0, fmt.Errorf("%w: payload length %d", ErrTruncated, plen)
 	}
-	if cap(fr.buf) < plen {
-		fr.buf = make([]byte, plen)
-	}
-	payload := fr.buf[:plen]
-	if _, err := io.ReadFull(fr.r, payload); err != nil {
+	payload, err := fr.readPayload(plen)
+	if err != nil {
 		return 0, fmt.Errorf("%w: payload: %v", ErrTruncated, err)
 	}
 	if got := crc32.ChecksumIEEE(payload); got != wantCRC {
@@ -290,6 +288,32 @@ func (fr *FrameReader) DecodeFrameInto(rel *bat.Relation) (int, error) {
 		decodeColumn(rel.Col(i), fr.types[i], body[fr.offs[i]:fr.offs[i+1]], n)
 	}
 	return n, nil
+}
+
+// readPayload reads the next plen bytes into the reused payload buffer.
+// A buffer that must grow grows only as bytes arrive (at most doubling per
+// step), so a header claiming a 64 MiB payload on a connection that sends
+// a few bytes cannot make the reader allocate the claimed size up front.
+func (fr *FrameReader) readPayload(plen int) ([]byte, error) {
+	if cap(fr.buf) >= plen {
+		payload := fr.buf[:plen]
+		_, err := io.ReadFull(fr.r, payload)
+		return payload, err
+	}
+	buf := fr.buf[:0]
+	for len(buf) < plen {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(plen, max(2*cap(buf), 4096))-len(buf))
+		}
+		n, err := io.ReadFull(fr.r, buf[len(buf):min(cap(buf), plen)])
+		buf = buf[:len(buf)+n]
+		if err != nil {
+			fr.buf = buf
+			return nil, err
+		}
+	}
+	fr.buf = buf
+	return buf, nil
 }
 
 // columnExtent returns the byte size of one encoded column of n values,

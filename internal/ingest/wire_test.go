@@ -3,8 +3,10 @@ package ingest
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -272,5 +274,26 @@ func TestDecodeFrameIntoSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs > 1 {
 		t.Fatalf("DecodeFrameInto allocates %.1f per frame at steady state, want <= 1", allocs)
+	}
+}
+
+// TestDecodeFrameIntoShortPayloadAllocatesLittle pins that a header
+// claiming the largest payload the protocol allows, followed by a few
+// bytes and EOF, is rejected as truncated without the reader allocating
+// the claimed 64 MiB.
+func TestDecodeFrameIntoShortPayloadAllocatesLittle(t *testing.T) {
+	head := []byte{magic0, magic1, wireVersion, 1, 0, 0, 0, 0, 0, 0, 0, 0}
+	binary.LittleEndian.PutUint32(head[4:], maxPayload)
+	wire := append(head, make([]byte, 10)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fr := NewFrameReader(bufio.NewReader(bytes.NewReader(wire)), []vector.Type{vector.Int})
+	_, err := fr.DecodeFrameInto(bat.NewEmptyRelation([]string{"i"}, []vector.Type{vector.Int}))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrTruncated) {
+		t.Fatalf("want ErrTruncated, got %v", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("a 10-byte payload made the reader allocate %d bytes", grew)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"datacell/internal/core"
+	"datacell/internal/ingest"
 	"datacell/internal/stream"
 )
 
@@ -26,9 +27,11 @@ type CommResult struct {
 
 // RunCommPipeline measures the elapsed time and throughput of shipping
 // `tuples` two-column tuples from a sensor through a chain of q
-// `select *` queries to an actuator, all over localhost TCP. With
-// withKernel=false the sensor feeds the actuator directly, isolating the
-// pure communication overhead (the flat curve of Figure 4a).
+// `select *` queries to an actuator, all over localhost TCP. The sensor's
+// textual lines enter through the engine's receptor, an ingest.Group,
+// and take the same first-bytes protocol sniff as any user connection.
+// With withKernel=false the sensor feeds the actuator directly, isolating
+// the pure communication overhead (the flat curve of Figure 4a).
 func RunCommPipeline(q, tuples int, withKernel bool) (CommResult, error) {
 	res := CommResult{Queries: q, Tuples: tuples, WithKernel: withKernel}
 
@@ -88,11 +91,13 @@ func RunCommPipeline(q, tuples int, withKernel bool) (CommResult, error) {
 		if err != nil {
 			return res, err
 		}
-		tr, err := stream.ListenTCP("127.0.0.1:0", stream.NewReceptor(in))
+		names, types := in.UserSchema()
+		rx, err := ingest.Listen(in.Name(), "127.0.0.1:0", names, types,
+			ingest.NewSwitchTarget(ingest.BasketSink(in)), ingest.Options{})
 		if err != nil {
 			return res, err
 		}
-		closers = append(closers, tr.Close)
+		closers = append(closers, rx.Close)
 		em := stream.NewEmitter(out)
 		actConn, err := net.Dial("tcp", actLn.Addr().String())
 		if err != nil {
@@ -105,7 +110,7 @@ func RunCommPipeline(q, tuples int, withKernel bool) (CommResult, error) {
 			return res, err
 		}
 		closers = append(closers, sch.Stop)
-		sensorTarget = tr.Addr()
+		sensorTarget = rx.Addrs()[0]
 	} else {
 		sensorTarget = actLn.Addr().String()
 	}

@@ -1,11 +1,10 @@
-// Package stream implements the periphery of the DataCell: receptors that
-// pick up events from communication channels and place them in baskets, and
-// emitters that deliver result tuples to subscribed clients. The
-// interchange format is purposely simple — flat relational tuples in a
-// textual, pipe-separated form — matching the paper's adapter design.
-// Receptors and emitters run as independent goroutines; together with the
-// factories between them they form the multi-threaded Petri net through
-// which the stream flows.
+// Package stream implements the outbound periphery of the DataCell —
+// emitters that deliver result tuples to subscribed clients, the
+// reconnecting dialer and the trace replayer — and the textual tuple
+// codec. The interchange format is purposely simple — flat relational
+// tuples in a textual, pipe-separated form — matching the paper's adapter
+// design. The inbound periphery, the receptors, lives in internal/ingest,
+// which decodes textual connections with this package's codec.
 package stream
 
 import (

@@ -1,10 +1,8 @@
 package stream
 
 import (
-	"strings"
 	"testing"
 
-	"datacell/internal/basket"
 	"datacell/internal/bat"
 	"datacell/internal/vector"
 )
@@ -54,34 +52,6 @@ func TestDecodeRowIntoMatchesDecodeRow(t *testing.T) {
 			if rel.Col(i).Len() != before {
 				t.Fatalf("DecodeRowInto(%q) misaligned column %d", line, i)
 			}
-		}
-	}
-}
-
-// TestReceptorReusesBatch feeds a receptor more lines than one batch and
-// checks counts and contents survive the Clear()-based batch reuse.
-func TestReceptorReusesBatch(t *testing.T) {
-	b := basket.New("rx", []string{"v", "s"}, []vector.Type{vector.Int, vector.Str})
-	r := NewReceptor(b)
-	r.BatchSize = 4
-	var sb strings.Builder
-	for i := 0; i < 11; i++ {
-		sb.WriteString("1|x\n")
-	}
-	sb.WriteString("bad-row\n")
-	if err := r.Listen(strings.NewReader(sb.String())); err != nil {
-		t.Fatal(err)
-	}
-	if r.Received() != 11 || r.Invalid() != 1 {
-		t.Fatalf("received %d invalid %d, want 11/1", r.Received(), r.Invalid())
-	}
-	rel := b.TakeAll()
-	if rel.Len() != 11 {
-		t.Fatalf("basket holds %d tuples, want 11", rel.Len())
-	}
-	for i := 0; i < 11; i++ {
-		if rel.Col(0).Ints()[i] != 1 || rel.Col(1).Strs()[i] != "x" {
-			t.Fatalf("row %d corrupted: %v|%v", i, rel.Col(0).Get(i), rel.Col(1).Get(i))
 		}
 	}
 }

@@ -2,8 +2,6 @@ package stream
 
 import (
 	"bytes"
-	"fmt"
-	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -61,37 +59,6 @@ func TestEncodeRelation(t *testing.T) {
 	}
 }
 
-func TestReceptorValidatesAndBatches(t *testing.T) {
-	b := twoColBasket("in")
-	r := NewReceptor(b)
-	r.BatchSize = 2
-	input := "100|1\nmalformed\n200|2\n300|3\n"
-	if err := r.Listen(strings.NewReader(input)); err != nil {
-		t.Fatal(err)
-	}
-	if r.Received() != 3 || r.Invalid() != 1 {
-		t.Errorf("received=%d invalid=%d", r.Received(), r.Invalid())
-	}
-	if b.Len() != 3 {
-		t.Errorf("basket = %d", b.Len())
-	}
-}
-
-func TestReceptorGoWait(t *testing.T) {
-	b := twoColBasket("in")
-	r := NewReceptor(b)
-	pr, pw := net.Pipe()
-	r.Go(pr)
-	go func() {
-		fmt.Fprintf(pw, "1|10\n2|20\n")
-		pw.Close()
-	}()
-	r.Wait()
-	if b.Len() != 2 {
-		t.Errorf("basket = %d", b.Len())
-	}
-}
-
 func TestEmitterDeliversToWriterAndCallback(t *testing.T) {
 	b := twoColBasket("out")
 	e := NewEmitter(b)
@@ -136,57 +103,6 @@ func (s *syncWriter) Write(p []byte) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.w.Write(p)
-}
-
-func TestTCPPipelineSensorToActuator(t *testing.T) {
-	// Full periphery: sensor --TCP--> receptor basket == emitter --TCP--> actuator.
-	b := twoColBasket("pipe")
-	tr, err := ListenTCP("127.0.0.1:0", NewReceptor(b))
-	if err != nil {
-		t.Fatal(err)
-	}
-	te, err := ServeTCP("127.0.0.1:0", NewEmitter(b))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Actuator connects first so it sees everything.
-	actuator, err := net.Dial("tcp", te.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer actuator.Close()
-	time.Sleep(10 * time.Millisecond) // allow subscription
-	te.Emitter.Start()
-
-	sensor, err := net.Dial("tcp", tr.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 100
-	go func() {
-		for i := 0; i < n; i++ {
-			fmt.Fprintf(sensor, "%d|%d\n", time.Now().UnixMicro(), i)
-		}
-		sensor.Close()
-	}()
-
-	got := 0
-	actuator.SetReadDeadline(time.Now().Add(5 * time.Second))
-	buf := make([]byte, 4096)
-	var acc []byte
-	for got < n {
-		m, err := actuator.Read(buf)
-		if err != nil {
-			t.Fatalf("actuator read after %d tuples: %v", got, err)
-		}
-		acc = append(acc, buf[:m]...)
-		got = bytes.Count(acc, []byte{'\n'})
-	}
-	if got != n {
-		t.Errorf("delivered %d, want %d", got, n)
-	}
-	tr.Close()
-	te.Close()
 }
 
 func TestReplayerPacing(t *testing.T) {

@@ -5,75 +5,6 @@ import (
 	"sync"
 )
 
-// TCPReceptor listens on a TCP address and feeds every accepted
-// connection's tuple stream into the receptor's basket. It models the
-// paper's sensor-to-kernel channel.
-type TCPReceptor struct {
-	*Receptor
-	ln   net.Listener
-	mu   sync.Mutex
-	wg   sync.WaitGroup
-	stop bool
-}
-
-// ListenTCP starts a TCP receptor on addr (e.g. "127.0.0.1:0"). The
-// returned receptor is already accepting connections; query Addr for the
-// bound address.
-func ListenTCP(addr string, r *Receptor) (*TCPReceptor, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	t := &TCPReceptor{Receptor: r, ln: ln}
-	t.wg.Add(1)
-	go t.acceptLoop()
-	return t, nil
-}
-
-// Addr returns the bound listen address.
-func (t *TCPReceptor) Addr() string { return t.ln.Addr().String() }
-
-func (t *TCPReceptor) acceptLoop() {
-	defer t.wg.Done()
-	for {
-		conn, err := t.ln.Accept()
-		if err != nil {
-			return
-		}
-		// An accept can win the race with ln.Close(): re-check the stop
-		// flag under the lock before joining the wait group, so Close
-		// never observes a wg.Add after its Wait started (a WaitGroup
-		// misuse panic) and never strands a connection handler.
-		t.mu.Lock()
-		if t.stop {
-			t.mu.Unlock()
-			conn.Close()
-			return
-		}
-		t.wg.Add(1)
-		t.mu.Unlock()
-		go func() {
-			defer t.wg.Done()
-			defer conn.Close()
-			_ = t.Listen(conn)
-		}()
-	}
-}
-
-// Close stops accepting and waits for in-flight connections to drain.
-// Idempotent: concurrent and repeated calls all block until the drain
-// completes.
-func (t *TCPReceptor) Close() {
-	t.mu.Lock()
-	already := t.stop
-	t.stop = true
-	t.mu.Unlock()
-	if !already {
-		t.ln.Close()
-	}
-	t.wg.Wait()
-}
-
 // TCPEmitter serves an emitter's result stream over TCP: every accepted
 // client is subscribed and receives all subsequent result tuples. It
 // models the kernel-to-actuator channel.

@@ -22,11 +22,11 @@ import (
 // touching every instrumented subsystem.
 func obsTestEngine(t *testing.T) *Engine {
 	t.Helper()
-	eng := New()
-	if _, err := eng.Exec(`create basket s (k int, v int)`); err != nil {
+	eng := New(WithWALOptions(WALOptions{Dir: t.TempDir()}))
+	if err := eng.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.OpenWAL(WALOptions{Dir: t.TempDir()}); err != nil {
+	if _, err := eng.Exec(`create basket s (k int, v int)`); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.RegisterQuery("agg", `select t.k, sum(t.v) from [select * from s] t group by t.k`); err != nil {
@@ -35,10 +35,10 @@ func obsTestEngine(t *testing.T) *Engine {
 	if err := eng.RegisterQuery("flt", `select t.v from [select * from s] t where t.v < 50`); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Subscribe("flt", func(Table) {}); err != nil {
+	if _, err := eng.SubscribeQuery("flt", SubscribeOptions{OnEmit: func(Emit) {}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.SetParallelism(2); err != nil {
+	if _, err := eng.Exec(`set parallelism = 2`); err != nil {
 		t.Fatal(err)
 	}
 	l, err := eng.ListenIngest("s", "127.0.0.1:0", IngestOptions{})
@@ -112,7 +112,7 @@ func TestWriteMetricsCoversSubsystems(t *testing.T) {
 // Stats/QueryStats.
 func TestLatencyHistogramRecords(t *testing.T) {
 	eng := obsTestEngine(t)
-	for _, q := range eng.Stats() {
+	for _, q := range eng.Snapshot().Queries {
 		if q.LatCount == 0 {
 			t.Errorf("query %s: no latency samples recorded", q.Name)
 			continue
@@ -169,7 +169,7 @@ func TestEventTrace(t *testing.T) {
 	if err := eng.RegisterQuery("q", `select t.v from [select * from s] t where t.v > 1`); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.SetStrategy(StrategyShared); err != nil {
+	if _, err := eng.Exec(`set strategy = 'shared'`); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.RemoveQuery("q"); err != nil {
@@ -248,7 +248,7 @@ func TestAdminEndpoints(t *testing.T) {
 // snapshot must be internally consistent (both queries present, valid
 // strategy, monotonic EventsTotal) and JSON-encodable.
 func TestSnapshotConsistentUnderChurn(t *testing.T) {
-	eng := New()
+	eng := New(WithAdaptOptions(AdaptOptions{Tick: time.Millisecond}))
 	if _, err := eng.Exec(`create basket s (k int, v int)`); err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,6 @@ func TestSnapshotConsistentUnderChurn(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	eng.SetAdaptOptions(AdaptOptions{Tick: time.Millisecond})
 	if _, err := eng.Exec(`set parallelism = auto`); err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +291,7 @@ func TestSnapshotConsistentUnderChurn(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				eng.SetStrategy(strats[i%len(strats)]) //nolint:errcheck
+				eng.Exec(fmt.Sprintf("set strategy = '%s'", strats[i%len(strats)])) //nolint:errcheck
 				time.Sleep(2 * time.Millisecond)
 			}
 		}
@@ -365,12 +364,12 @@ func TestFiringWithMetricsStaysInBudget(t *testing.T) {
 		cycle()
 	}
 	before := int64(0)
-	for _, q := range eng.Stats() {
+	for _, q := range eng.Snapshot().Queries {
 		before = q.LatCount
 	}
 	allocs := testing.AllocsPerRun(100, cycle)
 	after := int64(0)
-	for _, q := range eng.Stats() {
+	for _, q := range eng.Snapshot().Queries {
 		after = q.LatCount
 	}
 	if after <= before {

@@ -47,12 +47,9 @@ func RunPrune(strategy Strategy, parallelism, q, tuples int, selectivity float64
 	if selectivity <= 0 || selectivity > 1 {
 		return PruneResult{}, fmt.Errorf("datacell: prune selectivity must be in (0,1], got %g", selectivity)
 	}
-	eng := New()
+	eng := New(WithStrategy(strategy), WithParallelism(parallelism))
 	defer eng.Stop()
-	if err := eng.SetStrategy(strategy); err != nil {
-		return PruneResult{}, err
-	}
-	if err := eng.SetParallelism(parallelism); err != nil {
+	if err := eng.Err(); err != nil {
 		return PruneResult{}, err
 	}
 	if _, err := eng.Exec(`create basket s (v int)`); err != nil {
@@ -120,7 +117,7 @@ func RunPrune(strategy Strategy, parallelism, q, tuples int, selectivity float64
 		}
 		res.Results += out.Len()
 	}
-	for _, g := range eng.Groups() {
+	for _, g := range eng.Snapshot().Groups {
 		if g.Partitions > res.Partitions {
 			res.Partitions = g.Partitions
 		}

@@ -36,12 +36,9 @@ type ScaleResult struct {
 // sweep degenerates to a constant (the work is conserved, only its
 // placement changes).
 func RunScale(strategy Strategy, parallelism, q, tuples, batch int, seed int64) (ScaleResult, error) {
-	eng := New()
+	eng := New(WithStrategy(strategy), WithParallelism(parallelism))
 	defer eng.Stop()
-	if err := eng.SetStrategy(strategy); err != nil {
-		return ScaleResult{}, err
-	}
-	if err := eng.SetParallelism(parallelism); err != nil {
+	if err := eng.Err(); err != nil {
 		return ScaleResult{}, err
 	}
 	if _, err := eng.Exec(`create basket s (v int)`); err != nil {
@@ -105,7 +102,7 @@ func RunScale(strategy Strategy, parallelism, q, tuples, batch int, seed int64) 
 		}
 		res.Results += out.Len()
 	}
-	for _, g := range eng.Groups() {
+	for _, g := range eng.Snapshot().Groups {
 		if g.Partitions > res.Partitions {
 			res.Partitions = g.Partitions
 		}

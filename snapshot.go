@@ -5,12 +5,11 @@ import (
 	"time"
 )
 
-// Snapshot is one consistent point-in-time view of a running engine,
-// replacing the Stats() + Groups() + per-listener Stats() + RecoveryInfo
-// bookkeeping a caller previously had to stitch together (and which could
-// tear: each call re-acquired the engine lock, so a rewire could land
-// between them). Engine.Snapshot gathers every section under a single
-// acquisition of the engine mutex.
+// Snapshot is one consistent point-in-time view of a running engine and
+// the one way to read its state: configuration, per-query counters,
+// per-stream wiring, ingest, WAL and basket counters. Engine.Snapshot
+// gathers every section under a single acquisition of the engine mutex,
+// so no section can tear against another.
 //
 // Field stability: fields are append-only — new sections may be added in
 // later versions, existing ones keep their names, types and meaning, so
@@ -29,12 +28,10 @@ type Snapshot struct {
 	// WALDir is the open write-ahead-log root ("" when durability is off).
 	WALDir string
 
-	// Queries holds per-query activity counters, sorted by name — the same
-	// rows Stats() returns.
+	// Queries holds per-query activity counters, sorted by name.
 	Queries []QueryStats
-	// Groups holds per-stream wiring reports, sorted by stream — the same
-	// rows Groups() returns. Each embeds its listeners' IngestStats
-	// (GroupInfo.Receptors).
+	// Groups holds per-stream wiring reports, sorted by stream. Each embeds
+	// its listeners' IngestStats (GroupInfo.Receptors).
 	Groups []GroupInfo
 	// Ingest flattens every receptor shard's counters across all groups,
 	// for callers that want listener totals without walking Groups.

@@ -25,9 +25,9 @@ type Emit struct {
 	// Seq numbers the batches one subscription receives, starting at 1.
 	// Gaps never occur; a new subscription starts its own numbering.
 	Seq int64
-	// EmitTime is the engine-clock time (time.Now unless WithClock /
-	// SetClock installed a simulated clock) at which the emitter thread
-	// picked the batch up from the kernel's result basket.
+	// EmitTime is the engine-clock time (time.Now unless WithClock
+	// installed a simulated clock) at which the emitter thread picked the
+	// batch up from the kernel's result basket.
 	EmitTime time.Time
 }
 
@@ -41,9 +41,9 @@ type SubscribeOptions struct {
 }
 
 // Subscription is one attached consumer of a continuous query's results,
-// created by SubscribeQuery. Unlike the deprecated Subscribe seam it can
-// be detached without removing the query: Cancel removes the consumer and
-// leaves the query (and its other subscriptions) running.
+// created by SubscribeQuery. It can be detached without removing the
+// query: Cancel removes the consumer and leaves the query (and its other
+// subscriptions) running.
 type Subscription struct {
 	query     string
 	qe        *queryEmitter
@@ -75,9 +75,7 @@ func (s *Subscription) Cancel() {
 // batch is delivered — with one shared Table and EmitTime, and a
 // per-subscription Seq — to each attached subscription. The engine keeps
 // exactly one per subscribed query, so attaching and detaching consumers
-// never multiplies emitter threads (the leak the deprecated Subscribe
-// had: every call grew an emitter that competed for batches and could
-// never be removed).
+// never multiplies emitter threads.
 type queryEmitter struct {
 	eng   *Engine
 	query string
@@ -168,18 +166,6 @@ func (e *Engine) SubscribeQuery(query string, opts SubscribeOptions) (*Subscript
 		qe.em.Start() // idempotent: a second Start on a running emitter is a no-op
 	}
 	return sub, nil
-}
-
-// Subscribe delivers every result batch of the named continuous query to
-// fn on the emitter thread.
-//
-// Deprecated: Use SubscribeQuery, which returns a cancellable
-// Subscription and delivers Emit metadata (Seq, EmitTime) alongside the
-// Table. Subscribe keeps old call sites working but offers no way to
-// detach the consumer without removing the query.
-func (e *Engine) Subscribe(query string, fn func(t Table)) error {
-	_, err := e.SubscribeQuery(query, SubscribeOptions{OnEmit: func(em Emit) { fn(em.Table) }})
-	return err
 }
 
 // subscriptionEmitters snapshots the per-query emitters. Caller holds e.mu.

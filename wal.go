@@ -51,12 +51,12 @@ type RecoveryInfo struct {
 	TruncatedBytes int64 // torn-tail bytes repaired away on open
 }
 
-// OpenWAL attaches a write-ahead log rooted at o.Dir to the engine. Call
-// it after creating the stream baskets and before ListenIngest (listeners
-// capture the log when they start) and Start (which auto-recovers).
-func (e *Engine) OpenWAL(o WALOptions) error {
+// openWAL attaches a write-ahead log rooted at o.Dir to the engine
+// (WithWAL, WithWALOptions). Per-stream logs open lazily, when a listener
+// attaches or Recover scans the directory.
+func (e *Engine) openWAL(o WALOptions) error {
 	if o.Dir == "" {
-		return fmt.Errorf("datacell: OpenWAL needs a directory")
+		return fmt.Errorf("datacell: WAL needs a directory")
 	}
 	if err := os.MkdirAll(o.Dir, 0o755); err != nil {
 		return err
@@ -112,7 +112,7 @@ func (e *Engine) Recover() (RecoveryInfo, error) {
 	w := e.wal
 	e.mu.Unlock()
 	if w == nil {
-		return info, fmt.Errorf("datacell: OpenWAL before Recover")
+		return info, fmt.Errorf("datacell: Recover needs an engine built WithWAL")
 	}
 	ents, err := os.ReadDir(w.opts.Dir)
 	if err != nil {

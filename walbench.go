@@ -42,20 +42,7 @@ func RunIngestWAL(walOn bool, syncInterval time.Duration, shards, batch, tuples 
 		shards = 1
 	}
 	res := WALIngestResult{WAL: walOn, SyncInterval: syncInterval, Shards: shards, Batch: batch, Tuples: tuples}
-	eng := New()
-	defer eng.Stop()
-	if err := eng.SetStrategy(StrategyShared); err != nil {
-		return res, err
-	}
-	if err := eng.SetParallelism(shards); err != nil {
-		return res, err
-	}
-	if _, err := eng.Exec(`create basket s (k int, v int)`); err != nil {
-		return res, err
-	}
-	if err := eng.RegisterQuery("sink", `select t.v from [select * from s] t where t.v < 10`); err != nil {
-		return res, err
-	}
+	opts := []Option{WithStrategy(StrategyShared), WithParallelism(shards)}
 	var walDir string
 	if walOn {
 		dir, err := os.MkdirTemp("", "datacell-walbench-")
@@ -64,9 +51,18 @@ func RunIngestWAL(walOn bool, syncInterval time.Duration, shards, batch, tuples 
 		}
 		defer os.RemoveAll(dir)
 		walDir = dir
-		if err := eng.OpenWAL(WALOptions{Dir: dir, SyncInterval: syncInterval}); err != nil {
-			return res, err
-		}
+		opts = append(opts, WithWALOptions(WALOptions{Dir: dir, SyncInterval: syncInterval}))
+	}
+	eng := New(opts...)
+	defer eng.Stop()
+	if err := eng.Err(); err != nil {
+		return res, err
+	}
+	if _, err := eng.Exec(`create basket s (k int, v int)`); err != nil {
+		return res, err
+	}
+	if err := eng.RegisterQuery("sink", `select t.v from [select * from s] t where t.v < 10`); err != nil {
+		return res, err
 	}
 	l, err := eng.ListenIngest("s", "127.0.0.1:0", IngestOptions{Shards: shards, BatchSize: batch})
 	if err != nil {

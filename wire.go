@@ -10,7 +10,7 @@ import (
 
 // WireWriter encodes Rows as columnar batch frames of the engine's
 // binary wire protocol — the sensor-side producer for feeding a stream
-// over ListenIngest/ListenTCP sockets from outside the engine process.
+// over ListenIngest sockets from outside the engine process.
 // Rows accumulate and ship as one frame per `batch` tuples; call Flush
 // when done (and before any deliberate pause, so downstream sees the
 // tuples).
